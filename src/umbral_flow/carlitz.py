@@ -14,11 +14,12 @@ from __future__ import annotations
 import threading
 
 from .errors import (
+    EnumerationCapExceededError,
     NoConvergenceDetectedError,
     OutsideConvergenceDomainError,
 )
 from .fq import DEFAULT_ENUM_CAP, PolyA, enumerate_polys
-from .laurent import INF, LaurentF
+from .laurent import LaurentF
 
 DEFAULT_WINDOW = 3
 DEFAULT_KMAX = 64
@@ -39,6 +40,13 @@ class CarlitzCtx:
 
     def dk(self, k: int) -> PolyA:
         """Product of all monic polynomials of degree k; monic of degree k*q^k."""
+        # check k once: the per-degree cap check in enumerate_polys would
+        # only fire after every smaller degree's product was built
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        if k >= len(self._dk) and self.field.q ** (k + 1) > self.cap:
+            raise EnumerationCapExceededError(
+                f"q^(k+1) = {self.field.q ** (k + 1)} exceeds cap {self.cap}")
         with self._lock:
             while len(self._dk) <= k:
                 j = len(self._dk)
@@ -106,22 +114,11 @@ class CarlitzCtx:
         """
         if x.val_lower_bound() < 1:
             raise OutsideConvergenceDomainError(
-                f"carlitz_exp needs v(x) >= 1, got {x.val_lower_bound()}")
+                f"carlitz exp needs v(x) >= 1, got {x.val_lower_bound()}")
         return self.exp_sum(x, prec)
 
     def exp_at_one(self, prec: int) -> LaurentF:
         """e_C(1) = sum_k 1/D_k by direct summation (|1| = 1 is outside the
-        unit ball, so this is not a carlitz_exp call)."""
+        unit ball, so this is not an ``exp`` call)."""
         return self.exp_sum(LaurentF.one(self.field), prec)
 
-
-def carlitz_dk(cctx: CarlitzCtx, k: int) -> PolyA:
-    return cctx.dk(k)
-
-
-def carlitz_ek(cctx: CarlitzCtx, k: int, x: LaurentF) -> LaurentF:
-    return cctx.ek(k, x)
-
-
-def carlitz_exp(cctx: CarlitzCtx, x: LaurentF, prec: int) -> LaurentF:
-    return cctx.exp(x, prec)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .carlitz import CarlitzCtx
 from .config import Config
@@ -224,23 +223,9 @@ def cmd_flow_apply(args):
 
 
 def cmd_verify(args):
-    cfg = _config_from_args(args)
     names = list(CLAIMS) if args.claim == "all" else [args.claim]
-    t_all = time.time()
-    # run claims one at a time so the stderr summary streams
-    claims_json = []
-    for name in names:
-        t0 = time.time()
-        part = run_verify([name], cfg)["claims"][0]
-        claims_json.append(part)
-        status = "pass" if part["passed"] else "FAIL"
-        print(f"[{status}] {name}: trials={part['trials']} "
-              f"min_agreement={part['min_agreement_valuation']} "
-              f"({time.time() - t0:.1f}s)", file=sys.stderr)
-    report = {"config": cfg.to_json(), "claims": claims_json,
-              "passed": all(c["passed"] for c in claims_json)}
+    report = run_verify(names, _config_from_args(args))
     _emit(report)
-    print(f"total {time.time() - t_all:.1f}s", file=sys.stderr)
     return 0 if report["passed"] else 1
 
 
@@ -305,10 +290,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         raise UnknownClaimError(args.command)
-    except (ParseError, UnknownClaimError, FileNotFoundError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UmbralFlowError as e:
+    except (UmbralFlowError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .carlitz import CarlitzCtx
 from .fq import DEFAULT_ENUM_CAP, field as make_field
@@ -32,8 +32,15 @@ class Config:
             raise ValueError("trunc must be >= 4")
         if self.basis is None:
             self.basis = min(12, self.trunc)
-        if self.basis > self.trunc:
-            raise ValueError("basis must be <= trunc")
+        if not 1 <= self.basis <= self.trunc:
+            raise ValueError("basis must be in 1..trunc")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.k_max is not None and self.k_max < 2:
+            # the geometricity scan starts at k = 2
+            raise ValueError("k_max must be >= 2")
         env_cap = os.environ.get(ENUM_CAP_ENV)
         if env_cap:
             self.cap = int(env_cap)

@@ -33,11 +33,10 @@ from .laurent import INF, LaurentF
 from .series import (
     AdditiveSeries,
     TruncSeries,
-    additive_compose,
-    additive_inverse,
+    binom_mod_p,
+    plen,
     series_compose,
     taylor_shift,
-    binom_mod_p,
 )
 from .umbral import (
     UmbralMap,
@@ -71,7 +70,7 @@ class AdditiveIso:
         additive polynomial, and re-inverting it reproduces the given
         coefficients on the same range (triangular determinacy).
         """
-        G = additive_inverse(Hinv_given, length=Hinv_given.length)
+        G = Hinv_given.inverse(length=Hinv_given.length)
         G = AdditiveSeries(G.ctx, G.pcoeffs, exact=True)
         return cls(G)
 
@@ -104,7 +103,7 @@ class AdditiveIso:
         if length is None:
             length = self.H.length
         if self._inv is None or self._inv.length < length:
-            self._inv = additive_inverse(self.H, length=length)
+            self._inv = self.H.inverse(length=length)
         return self._inv if self._inv.length == length else \
             AdditiveSeries(self.ctx, self._inv.pcoeffs[:length],
                            exact=False)
@@ -112,11 +111,7 @@ class AdditiveIso:
     def inverse_ts(self, trunc: int) -> TruncSeries:
         got = self._hinv_ts.get(trunc)
         if got is None:
-            p = self.ctx.p
-            m = 0
-            while p ** m < trunc:
-                m += 1
-            got = self.inverse(max(m, 1)).to_trunc_series(trunc)
+            got = self.inverse(plen(self.ctx.p, trunc)).to_trunc_series(trunc)
             self._hinv_ts[trunc] = got
         return got
 
@@ -143,20 +138,14 @@ class AdditiveIso:
         return f"<additive iso, H = {self.H!r}>"
 
 
-def apply_iso(iso: AdditiveIso, P: TruncSeries) -> TruncSeries:
-    return iso.apply(P)
-
-
 def compose_isos(a: AdditiveIso, b: AdditiveIso) -> AdditiveIso:
     """The iso c with phi_c = phi_b o phi_a, i.e. generator H_a o H_b;
     iterating duals through a then b equals one dual through c."""
-    return AdditiveIso(additive_compose(a.H, b.H))
+    return AdditiveIso(a.H.compose(b.H))
 
 
 class DualMap(UmbralMap):
     """Moments eval((H^(-1))(F(x))^k) of the dual of ``inner`` under ``iso``."""
-
-    structurally_geometric = False
 
     def __init__(self, inner: UmbralMap, iso: AdditiveIso, prec=None,
                  eval_len=None):
@@ -181,11 +170,6 @@ class DualMap(UmbralMap):
             got = umbral_eval(R, self.inner, x).truncate(self.eval_len)
             cache[k] = got
         return got
-
-
-def dual_moment(inner: UmbralMap, iso: AdditiveIso, x: LaurentF, k: int,
-                prec=None, eval_len=None) -> LaurentF:
-    return DualMap(inner, iso, prec=prec, eval_len=eval_len).moment(x, k)
 
 
 class PerturbedMap(UmbralMap):
@@ -259,8 +243,7 @@ def _key_of(x: LaurentF):
 
 def check_duality_diagram(inner: UmbralMap, iso: AdditiveIso, x: LaurentF,
                           basis: int, trunc: int, prec: int,
-                          dual_map: UmbralMap | None = None,
-                          require_admissible: bool = True) -> DualityReport:
+                          dual_map: UmbralMap | None = None) -> DualityReport:
     """Compare phi(flow_inner(x) P) with flow_dual(x)(phi P) for P = T^j.
 
     With an exact generator polynomial both sides are complete finite sums:
@@ -273,12 +256,10 @@ def check_duality_diagram(inner: UmbralMap, iso: AdditiveIso, x: LaurentF,
         "inner": inner.name, "dual": dual.name, "basis": basis,
         "trunc": trunc, "prec": prec, "exact_generator": iso.H.exact,
     })
-    if require_admissible:
-        for m in (inner, dual):
-            verdict = admissible_heuristic(m, x)
-            if not verdict.apparently_admissible:
-                raise PreconditionFailedError(
-                    f"x not apparently admissible for {m.name}")
+    for m in (inner, dual):
+        if not admissible_heuristic(m, x).apparently_admissible:
+            raise PreconditionFailedError(
+                f"x not apparently admissible for {m.name}")
     H_ts = iso.generator_ts(trunc)
     for j in range(basis):
         P = TruncSeries.monomial(inner.ctx, j, trunc)
@@ -314,15 +295,13 @@ def is_geometric_at(umap: UmbralMap, x: LaurentF, k_max: int, prec: int):
 
 def check_geometric_criterion(inner: UmbralMap, iso: AdditiveIso,
                               x: LaurentF, basis: int, prec: int,
-                              k_max: int, strict: bool = False
-                              ) -> DualityReport:
+                              k_max: int) -> DualityReport:
     """Both flows of the dual map, against the geometricity of the inner map.
 
     The report passes iff the biconditional holds: the single-moment flow
     e^(F1 D) and the dual flow agree (to prec, over the monomial basis)
     exactly when the inner map is geometric at x.  Admissibility of x for
-    inner, dual, and |dual_1(x)| < 1 are recorded; with ``strict`` a failed
-    precondition raises instead.
+    inner, dual, and |dual_1(x)| < 1 are recorded, not enforced.
     """
     dual = DualMap(inner, iso, prec=prec)
     f1 = dual.moment(x, 1)
@@ -331,8 +310,6 @@ def check_geometric_criterion(inner: UmbralMap, iso: AdditiveIso,
         "dual_admissible": admissible_heuristic(dual, x).apparently_admissible,
         "dual_first_moment_small": bool(f1.val_lower_bound() >= 1),
     }
-    if strict and not all(pre.values()):
-        raise PreconditionFailedError(f"geometric-criterion preconditions: {pre}")
     rep = DualityReport("geometric-criterion", {
         "inner": inner.name, "basis": basis, "prec": prec, "k_max": k_max,
     })
@@ -360,14 +337,12 @@ def check_geometric_criterion(inner: UmbralMap, iso: AdditiveIso,
 
 
 def check_binomial(umap: UmbralMap, x: LaurentF, y: LaurentF, n_max: int,
-                   prec: int, require_admissible: bool = True
-                   ) -> DualityReport:
+                   prec: int) -> DualityReport:
     """F_n(x+y) = sum_k C(n,k) F_k(x) F_{n-k}(y) for n <= n_max."""
-    if require_admissible:
-        for pt in (x, y, x + y):
-            if not admissible_heuristic(umap, pt).apparently_admissible:
-                raise PreconditionFailedError(
-                    f"binomial check point not apparently admissible for {umap.name}")
+    for pt in (x, y, x + y):
+        if not admissible_heuristic(umap, pt).apparently_admissible:
+            raise PreconditionFailedError(
+                f"binomial check point not apparently admissible for {umap.name}")
     rep = DualityReport("binomial", {"map": umap.name, "n_max": n_max,
                                      "prec": prec})
     p = umap.ctx.p

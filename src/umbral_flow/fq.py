@@ -366,16 +366,6 @@ class FqElem:
         return "+".join(terms) if terms else "0"
 
 
-def ff_inv(a: FqElem) -> FqElem:
-    """Multiplicative inverse in F_q; raises ZeroInverseError on 0."""
-    return a.inverse()
-
-
-def frobenius(a: FqElem, i: int) -> FqElem:
-    """The i-fold Frobenius a -> a^(p^i)."""
-    return a.frobenius(i)
-
-
 class PolyA:
     """Element of A = F_q[t]: codes lowest degree first, no trailing zeros."""
 
@@ -505,10 +495,6 @@ class PolyA:
     @classmethod
     def from_json(cls, ctx, obj):
         return cls(ctx, [ctx.enc(c) for c in obj["coeffs"]])
-
-
-def poly_divrem(a: PolyA, b: PolyA):
-    return a.divrem(b)
 
 
 def format_poly(poly: PolyA) -> str:

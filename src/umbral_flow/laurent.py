@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import PrecisionLossError, ZeroInverseError
+from .errors import ParseError, PrecisionLossError, ZeroInverseError
 from .fq import FqElem, PolyA
 
 INF = math.inf
@@ -285,8 +285,32 @@ class LaurentF:
 
     @classmethod
     def from_json(cls, ctx, obj):
-        prec = INF if obj.get("prec") is None else obj["prec"]
-        return cls(ctx, obj["v"], [ctx.enc(c) for c in obj["coeffs"]], prec)
+        """Inverse of to_json; a malformed literal raises ParseError."""
+        v, coeffs = json_fields(obj, "Laurent", v=int, coeffs=list)
+        prec = obj.get("prec")
+        if not (prec is None or isinstance(prec, int)) or not all(
+                isinstance(c, list) and len(c) <= ctx.d
+                and all(isinstance(a, int) for a in c) for c in coeffs):
+            raise ParseError(f"bad Laurent literal: 'prec' must be int or "
+                             f"null, each coefficient a list of <= {ctx.d} "
+                             f"ints")
+        return cls(ctx, v, [ctx.enc(c) for c in coeffs],
+                   INF if prec is None else prec)
+
+
+def json_fields(obj, what, **kinds):
+    """The values of a JSON object at the given keys, each checked to be an
+    instance of its kind; ParseError names the ``what`` literal otherwise."""
+    try:
+        vals = [obj[k] for k in kinds]
+    except (KeyError, TypeError):
+        raise ParseError(f"bad {what} literal: needs the keys "
+                         f"{', '.join(kinds)}") from None
+    for (k, kind), val in zip(kinds.items(), vals):
+        if not isinstance(val, kind):
+            raise ParseError(f"bad {what} literal: {k!r} must be "
+                             f"{kind.__name__}")
+    return vals
 
 
 def _series_inv(ctx, codes, length):
@@ -311,6 +335,3 @@ def agreement_valuation(x: LaurentF, y: LaurentF):
     """Lower bound on v(x - y): INF means identical as exact values."""
     return (x - y).val_lower_bound()
 
-
-def eq_to_prec(x: LaurentF, y: LaurentF, prec) -> bool:
-    return agreement_valuation(x, y) >= prec

@@ -22,7 +22,16 @@ from .errors import (
     NotAGeneratorError,
     TruncationMismatchError,
 )
-from .laurent import INF, LaurentF
+from .laurent import INF, LaurentF, json_fields
+
+
+def plen(p: int, span: int) -> int:
+    """Smallest m >= 1 with p^m >= span: the number of p-power terms an
+    additive series needs to reach the window T^0 ... T^(span-1)."""
+    m = 0
+    while p ** m < span:
+        m += 1
+    return max(m, 1)
 
 
 @lru_cache(maxsize=None)
@@ -84,13 +93,6 @@ class TruncSeries:
 
     def coeff(self, j):
         return self.coeffs[j]
-
-    def pad(self, trunc):
-        """Extend with exact zeros: asserts the caller knows the tail is zero."""
-        if trunc <= self.trunc:
-            return self
-        z = LaurentF.zero(self.ctx)
-        return TruncSeries(self.ctx, self.coeffs + (z,) * (trunc - self.trunc))
 
     def slice(self, trunc):
         return TruncSeries(self.ctx, self.coeffs[:trunc])
@@ -165,8 +167,8 @@ class TruncSeries:
 
     @classmethod
     def from_json(cls, ctx, obj):
-        coeffs = [LaurentF.from_json(ctx, c) for c in obj["coeffs"]]
-        return cls(ctx, coeffs[:obj["trunc"]])
+        coeffs, trunc = json_fields(obj, "series", coeffs=list, trunc=int)
+        return cls(ctx, [LaurentF.from_json(ctx, c) for c in coeffs][:trunc])
 
 
 def hasse_derivative(P: TruncSeries, k: int) -> TruncSeries:
@@ -218,14 +220,6 @@ def taylor_shift(P: TruncSeries, c: LaurentF) -> TruncSeries:
     return TruncSeries(ctx, out)
 
 
-def series_mul(P: TruncSeries, Q: TruncSeries) -> TruncSeries:
-    return P * Q
-
-
-def series_pow(P: TruncSeries, k: int) -> TruncSeries:
-    return P ** k
-
-
 def series_compose(P: TruncSeries, Q: TruncSeries) -> TruncSeries:
     """P(Q(T)) on the common window; Q must have exact zero constant term."""
     q0 = Q.coeffs[0] if Q.trunc else None
@@ -272,11 +266,6 @@ class AdditiveSeries:
     def coeff(self, i):
         return self.pcoeffs[i]
 
-    def truncate(self, m):
-        if m >= self.length:
-            return self
-        return AdditiveSeries(self.ctx, self.pcoeffs[:m], exact=False)
-
     def is_generator(self):
         """(ok, reason): unit linear coefficient plus bounded coefficients.
 
@@ -289,15 +278,6 @@ class AdditiveSeries:
         if h0.v != 0:
             return False, f"linear coefficient has valuation {h0.v}, not 0"
         return True, "ok"
-
-    def as_function(self, x: LaurentF) -> LaurentF:
-        """Evaluate H at a field value: sum h_i x^(p^i)."""
-        acc = LaurentF.zero(self.ctx)
-        for i, h in enumerate(self.pcoeffs):
-            if h.is_exact_zero():
-                continue
-            acc = acc + h * x.frob_power(i)
-        return acc
 
     def compose(self, other: "AdditiveSeries") -> "AdditiveSeries":
         """H(G(T)): skew product c_k = sum_{i+j=k} h_i * g_j^(p^i)."""
@@ -400,29 +380,16 @@ class AdditiveSeries:
 
     @classmethod
     def from_json(cls, ctx, obj):
-        return cls(ctx, [LaurentF.from_json(ctx, h) for h in obj["pcoeffs"]],
+        pcoeffs, = json_fields(obj, "additive series", pcoeffs=list)
+        return cls(ctx, [LaurentF.from_json(ctx, h) for h in pcoeffs],
                    exact=obj.get("exact", True))
 
 
 _EXACT_INV_PREC = 4 * 64  # fallback precision when inverting exact unit coeffs
 
 
-def additive_compose(H: AdditiveSeries, G: AdditiveSeries) -> AdditiveSeries:
-    return H.compose(G)
-
-
-def additive_inverse(H: AdditiveSeries, length=None) -> AdditiveSeries:
-    return H.inverse(length)
-
-
-def is_generator(H: AdditiveSeries):
-    return H.is_generator()
-
-
-def series_agreement_valuation(P: TruncSeries, Q: TruncSeries, upto=None):
+def series_agreement_valuation(P: TruncSeries, Q: TruncSeries):
     """min over shared coefficients of a lower bound on v(P_h - Q_h)."""
     n = min(P.trunc, Q.trunc)
-    if upto is not None:
-        n = min(n, upto)
     return min(((P.coeffs[h] - Q.coeffs[h]).val_lower_bound()
                 for h in range(n)), default=INF)

@@ -49,8 +49,6 @@ class UmbralMap:
     """Base: a family of moments F_k(x) over a Carlitz context."""
 
     name = "abstract"
-    #: moments are literal powers of the first moment, by construction
-    structurally_geometric = False
 
     def __init__(self, cctx: CarlitzCtx, prec: int):
         self.cctx = cctx
@@ -59,9 +57,6 @@ class UmbralMap:
 
     def moment(self, x: LaurentF, k: int) -> LaurentF:
         raise NotImplementedError
-
-    def first_moment(self, x: LaurentF) -> LaurentF:
-        return self.moment(x, 1)
 
     def admissibility_rule(self, x: LaurentF):
         """Exact admissibility verdict, or None when only the scan applies."""
@@ -73,8 +68,6 @@ class UmbralMap:
 
 class _PowerMomentMap(UmbralMap):
     """Moments F_k(x) = g(x)^k for a scalar function g; caches the powers."""
-
-    structurally_geometric = True
 
     def __init__(self, cctx, prec):
         super().__init__(cctx, prec)
@@ -265,11 +258,10 @@ def flow_coefficient(umap: UmbralMap, x: LaurentF, P: TruncSeries,
 
 
 def apply_flow(umap: UmbralMap, x: LaurentF, P: TruncSeries,
-               require_admissible: bool = True,
-               params: AdmissibilityParams | None = None) -> TruncSeries:
+               require_admissible: bool = True) -> TruncSeries:
     """Apply the flow operator of ``umap`` at x to P, on P's window."""
     if require_admissible:
-        verdict = admissible_heuristic(umap, x, params)
+        verdict = admissible_heuristic(umap, x)
         if not verdict.apparently_admissible:
             raise PreconditionFailedError(
                 f"x not apparently admissible for {umap.name}: {verdict}")

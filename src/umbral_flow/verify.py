@@ -12,6 +12,8 @@ theory lives anyway.
 from __future__ import annotations
 
 import random
+import sys
+import time
 
 from .carlitz import CarlitzCtx
 from .config import Config
@@ -32,10 +34,11 @@ from .laurent import INF, LaurentF
 from .series import (
     AdditiveSeries,
     TruncSeries,
+    binom_mod_p,
     hasse_derivative,
+    plen,
     series_agreement_valuation,
     taylor_shift,
-    binom_mod_p,
 )
 from .umbral import AdditiveMap, NaiveMap, TwistedMap, apply_flow
 
@@ -88,12 +91,15 @@ def _rng(cfg: Config, claim: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{claim}")
 
 
-def _plen(p: int, span: int) -> int:
-    """Smallest m with p^m >= span."""
-    m = 0
-    while p ** m < span:
-        m += 1
-    return max(m, 1)
+def _at_q_powers(ctx, pc):
+    """Coefficients of T^(q^i), i = 0, 1, ..., as a p-power coefficient list:
+    T^(q^i) is T^(p^(d*i)), so exact zeros fill the indices in between."""
+    if ctx.d == 1:
+        return pc
+    full = [LaurentF.zero(ctx)] * ((len(pc) - 1) * ctx.d + 1)
+    for i, c in enumerate(pc):
+        full[i * ctx.d] = c
+    return full
 
 
 def ec_generator(cctx: CarlitzCtx, length: int, prec: int) -> AdditiveSeries:
@@ -103,13 +109,7 @@ def ec_generator(cctx: CarlitzCtx, length: int, prec: int) -> AdditiveSeries:
     pc = [LaurentF.one(ctx)]
     for i in range(1, length):
         pc.append(cctx.dk_inv(i, prec + 2 * i * ctx.q ** i))
-    if ctx.d > 1:
-        # q-power exponents sit at p-power index d*i; interleave exact zeros
-        full = [LaurentF.zero(ctx)] * ((length - 1) * ctx.d + 1)
-        for i, c in enumerate(pc):
-            full[i * ctx.d] = c
-        pc = full
-    return AdditiveSeries(ctx, pc, exact=True)
+    return AdditiveSeries(ctx, _at_q_powers(ctx, pc), exact=True)
 
 
 def ec_iso(cctx, length, prec):
@@ -121,12 +121,7 @@ def ex58_series(cctx: CarlitzCtx, length: int, prec: int) -> AdditiveSeries:
     ctx = cctx.field
     e1 = cctx.exp_at_one(prec)
     pc = [e1.q_power(i) for i in range(length)]
-    if ctx.d > 1:
-        full = [LaurentF.zero(ctx)] * ((length - 1) * ctx.d + 1)
-        for i, c in enumerate(pc):
-            full[i * ctx.d] = c
-        pc = full
-    return AdditiveSeries(ctx, pc, exact=False)
+    return AdditiveSeries(ctx, _at_q_powers(ctx, pc), exact=False)
 
 
 def ex58_iso(cctx, length, prec):
@@ -305,7 +300,8 @@ def claim_duality(cfg: Config) -> DualityReport:
     cctx = cfg.carlitz_ctx()
     rng = _rng(cfg, "duality")
     smp = Sampler(cctx.field, rng, cfg.prec)
-    glen = _plen(cfg.p, cfg.trunc)
+    # the generators count q-powers, interleaved to p-powers for d > 1
+    glen = plen(cfg.q, cfg.trunc)
     isoA = ec_iso(cctx, glen, cfg.prec + 32)
     iso58 = ex58_iso(cctx, glen, cfg.prec + 32)
     S = AdditiveMap(cctx, cfg.prec)
@@ -360,7 +356,7 @@ def claim_dual_binomial(cfg: Config) -> DualityReport:
     rng = _rng(cfg, "binomial-twisted")
     smp = Sampler(cctx.field, rng, target)
     T = TwistedMap(cctx, target, inv_prec_pad=128)
-    iso58 = ex58_iso(cctx, _plen(cfg.p, cfg.q ** 5), target + 128)
+    iso58 = ex58_iso(cctx, plen(cfg.p, cfg.q ** 5), target + 128)
     dual = DualMap(T, iso58, prec=target, eval_len=target + 64)
     n_pairs = max(cfg.trials // 10, 1)
     reports = []
@@ -381,7 +377,7 @@ def claim_geometric(cfg: Config) -> DualityReport:
     cctx = cfg.carlitz_ctx()
     rng = _rng(cfg, "geometric")
     smp = Sampler(cctx.field, rng, cfg.prec)
-    glen = _plen(cfg.p, cfg.trunc)
+    glen = plen(cfg.p, cfg.trunc)
     isoA = ec_iso(cctx, glen, cfg.prec + 32)
     iso58 = ex58_iso(cctx, glen, cfg.prec + 32)
     S = AdditiveMap(cctx, cfg.prec)
@@ -422,7 +418,7 @@ def claim_example57(cfg: Config) -> DualityReport:
     smp = Sampler(cctx.field, rng, cfg.prec)
     # the dual's moments track e_C(x)^k only up to the generator's p-range,
     # so the range must clear the target precision, not just the truncation
-    glen = max(_plen(cfg.p, cfg.trunc), _plen(cfg.q, cfg.prec) + 1)
+    glen = max(plen(cfg.p, cfg.trunc), plen(cfg.q, cfg.prec) + 1)
     iso_rev = AdditiveIso.from_inverse(ec_generator(cctx, glen, cfg.prec + 32))
     S = AdditiveMap(cctx, cfg.prec)
     NM = NaiveMap(cctx, cfg.prec)
@@ -515,7 +511,7 @@ def claim_iso_roundtrip(cfg: Config) -> DualityReport:
     S = AdditiveMap(cctx, cfg.prec)
     T = TwistedMap(cctx, cfg.prec, inv_prec_pad=64)
     eval_len = cfg.prec + 16
-    inv_len = _plen(cfg.p, eval_len)
+    inv_len = plen(cfg.p, eval_len)
     for i in range(n):
         use_twisted = i % 2 == 1
         base = T if use_twisted else S
@@ -571,10 +567,19 @@ def run_claim(name: str, cfg: Config) -> DualityReport:
 
 
 def run_verify(names, cfg: Config) -> dict:
-    """Run claims in order and assemble the deterministic run report."""
+    """Run claims in order and assemble the deterministic run report; a
+    one-line summary per claim goes to stderr as each claim finishes."""
     claims = []
+    t_all = time.time()
     for name in names:
+        t0 = time.time()
         claims.append(run_claim(name, cfg).to_json())
+        c = claims[-1]
+        print(f"[{'pass' if c['passed'] else 'FAIL'}] {name}: "
+              f"trials={c['trials']} "
+              f"min_agreement={c['min_agreement_valuation']} "
+              f"({time.time() - t0:.1f}s)", file=sys.stderr)
+    print(f"total {time.time() - t_all:.1f}s", file=sys.stderr)
     return {
         "config": cfg.to_json(),
         "claims": claims,

@@ -101,6 +101,12 @@ def test_criterion_11_iso_roundtrip():
     assert rep.passed
 
 
+def test_criterion_13_example57():
+    rep = _run("example57")
+    assert rep.passed and rep.trials == 20
+    assert rep.min_agreement_valuation >= 64
+
+
 def test_criterion_12_determinism():
     cfg_args = dict(p=2, d=1, prec=64, trunc=16, basis=12, trials=20, seed=7)
     blobs = []

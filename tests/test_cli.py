@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +161,45 @@ def test_enum_cap_env(monkeypatch):
     monkeypatch.setenv("UMBRAL_FLOW_CAP", "4")
     cfg = Config(trials=2)
     assert cfg.cap == 4
+
+
+def test_cli_verify_all_report_bytes(capsys, monkeypatch):
+    # the saved report of `--trials 8 verify all`; any change in its bytes is
+    # a behaviour change of some claim
+    monkeypatch.delenv("UMBRAL_FLOW_CAP", raising=False)
+    expected = (Path(__file__).parent / "data" /
+                "verify_all_q2_t8.json").read_text()
+    assert main(["--trials", "8", "verify", "all"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("flag,literal", [
+    ("--x", {"coeffs": [[1]], "prec": None}),          # Laurent without "v"
+    ("--x", {"v": "a", "coeffs": [[1]], "prec": None}),  # non-integer "v"
+    ("--series", {"trunc": 4}),                        # series without "coeffs"
+])
+def test_cli_bad_json_literal_exits_2(capsys, tmp_path, flag, literal):
+    path = tmp_path / "lit.json"
+    path.write_text(json.dumps(literal))
+    args = ["--trunc", "8", "flow", "apply", "--map", "twisted", "--x", "t"]
+    if flag == "--x":
+        args[-1] = "@" + str(path)
+    else:
+        args += ["--series", str(path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["carlitz", "dk", "--k", "-2"],
+    ["carlitz", "dk", "--k", "40"],  # past the enumeration cap: no work done
+    ["--trials", "0", "verify", "taylor"],
+    ["--basis", "0", "verify", "taylor"],
+    ["--window", "0", "verify", "example58"],
+    ["--k-max", "0", "verify", "geometric"],
+])
+def test_cli_bad_k_and_config_exit_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -6,12 +6,10 @@ from umbral_flow.duality import (
     AdditiveIso,
     DualMap,
     PerturbedMap,
-    apply_iso,
     check_binomial,
     check_duality_diagram,
     check_geometric_criterion,
     compose_isos,
-    dual_moment,
     is_geometric_at,
     merge_reports,
 )
@@ -51,7 +49,7 @@ def test_apply_iso_scaling(F3):
     iso = AdditiveIso(AdditiveSeries.linear(gamma))
     rng = random.Random(1)
     P = _rand_series(F3, rng)
-    out = apply_iso(iso, P)
+    out = iso.apply(P)
     g = LaurentF.one(F3)
     for j in range(M):
         d = out.coeffs[j] - P.coeffs[j] * g
@@ -63,7 +61,7 @@ def test_apply_iso_identity(F2):
     iso = AdditiveIso(AdditiveSeries.identity(F2))
     rng = random.Random(2)
     P = _rand_series(F2, rng)
-    out = apply_iso(iso, P)
+    out = iso.apply(P)
     assert all((out.coeffs[j] - P.coeffs[j]).is_zero_at_prec()
                for j in range(M))
 
@@ -71,7 +69,7 @@ def test_apply_iso_identity(F2):
 def test_apply_iso_t_plus_t2(F2):
     one = LaurentF.one(F2)
     iso = AdditiveIso(AdditiveSeries(F2, [one, one]))
-    out = apply_iso(iso, TruncSeries.monomial(F2, 2, M))
+    out = iso.apply(TruncSeries.monomial(F2, 2, M))
     hot = [j for j, c in enumerate(out.coeffs) if not c.is_zero_at_prec()]
     assert hot == [2, 4]  # (T+T^2)^2 in char 2
 
@@ -81,7 +79,7 @@ def test_dual_moment_k0(cc2):
     S = AdditiveMap(cc2, N)
     one = LaurentF.one(cc2.field)
     rng = random.Random(3)
-    assert (dual_moment(S, iso, _unit_x(cc2.field, rng), 0) - one).is_exact_zero()
+    assert (DualMap(S, iso).moment(_unit_x(cc2.field, rng), 0) - one).is_exact_zero()
 
 
 def test_dual_of_additive_reverse_gives_naive(cc2):
@@ -103,7 +101,7 @@ def test_ex58_dual_first_moment_is_carlitz_exp(cc2):
     T = TwistedMap(cc2, N)
     for poly in (PolyA.t(cc2.field), PolyA.t(cc2.field) ** 2):
         x = LaurentF.from_poly(poly)
-        f1 = dual_moment(T, iso, x, 1, prec=N)
+        f1 = DualMap(T, iso, prec=N).moment(x, 1)
         assert agreement_valuation(f1, cc2.exp_sum(x, N)) >= N
 
 
@@ -276,3 +274,13 @@ def test_merge_reports(cc2):
     assert merged.passed
     js = merged.to_json()
     assert js["claim"] == "combined" and js["passed"]
+
+
+def test_duality_claim_over_f4():
+    # d > 1: the claim's generators count q-powers, which interleave to
+    # d times as many p-powers
+    from umbral_flow.config import Config
+    from umbral_flow.verify import run_claim
+
+    rep = run_claim("duality", Config(p=2, d=2, modulus=(1, 1, 1), trials=4))
+    assert rep.passed
