@@ -35,8 +35,8 @@ from .series import (
     TruncSeries,
     binom_mod_p,
     plen,
-    series_compose,
     taylor_shift,
+    top_place,
 )
 from .umbral import (
     UmbralMap,
@@ -56,9 +56,7 @@ class AdditiveIso:
             raise NotAGeneratorError(reason)
         self.H = H
         self._inv = None
-        self._gen_ts = {}
         self._gen_powers = {}
-        self._hinv_ts = {}
         self._hinv_powers = {}
 
     @classmethod
@@ -84,19 +82,30 @@ class AdditiveIso:
         return j * p ** (self.H.length - 1)
 
     def generator_ts(self, trunc: int) -> TruncSeries:
-        got = self._gen_ts.get(trunc)
-        if got is None:
-            got = self.H.to_trunc_series(trunc)
-            self._gen_ts[trunc] = got
-        return got
+        return self.H.to_trunc_series(trunc)
+
+    def _power(self, tables, base_ts, k: int, trunc: int) -> TruncSeries:
+        """B^k mod T^trunc for B = base_ts(trunc), from a table cached in
+        ``tables`` per truncation and grown by the top base-p digit:
+        B^k = B^(k - p^t) * B^(p^t), where B^(p^t) is a Frobenius twist of B.
+        The table keeps B itself, so base_ts (and the precondition it
+        checks) runs once per table, whatever k is."""
+        table = tables.get(trunc)
+        if table is None:
+            table = tables[trunc] = (
+                [TruncSeries.monomial(self.ctx, 0, trunc)], [base_ts(trunc)])
+        powers, twists = table
+        while len(powers) <= k:
+            n = len(powers)
+            t, e = top_place(self.ctx.p, n)
+            while len(twists) <= t:
+                twists.append(twists[0].frobenius(len(twists)))
+            powers.append(twists[t] if n == e else powers[n - e] * twists[t])
+        return powers[k]
 
     def gen_power(self, j: int, trunc: int) -> TruncSeries:
-        """H^j mod T^trunc, grown incrementally and cached per truncation."""
-        powers = self._gen_powers.setdefault(
-            trunc, [TruncSeries.monomial(self.ctx, 0, trunc)])
-        while len(powers) <= j:
-            powers.append(powers[-1] * self.generator_ts(trunc))
-        return powers[j]
+        """H^j mod T^trunc."""
+        return self._power(self._gen_powers, self.generator_ts, j, trunc)
 
     def inverse(self, length=None) -> AdditiveSeries:
         """H^(-1) to the requested p-power length (prefix-stable)."""
@@ -109,18 +118,11 @@ class AdditiveIso:
                            exact=False)
 
     def inverse_ts(self, trunc: int) -> TruncSeries:
-        got = self._hinv_ts.get(trunc)
-        if got is None:
-            got = self.inverse(plen(self.ctx.p, trunc)).to_trunc_series(trunc)
-            self._hinv_ts[trunc] = got
-        return got
+        return self.inverse(plen(self.ctx.p, trunc)).to_trunc_series(trunc)
 
     def hinv_power(self, k: int, trunc: int) -> TruncSeries:
-        powers = self._hinv_powers.setdefault(
-            trunc, [TruncSeries.monomial(self.ctx, 0, trunc)])
-        while len(powers) <= k:
-            powers.append(powers[-1] * self.inverse_ts(trunc))
-        return powers[k]
+        """(H^(-1))^k mod T^trunc."""
+        return self._power(self._hinv_powers, self.inverse_ts, k, trunc)
 
     def inverse_iso(self, length=None) -> "AdditiveIso":
         """The iso generated by the composition inverse of H truncated to
@@ -131,8 +133,12 @@ class AdditiveIso:
         return AdditiveIso(AdditiveSeries(self.ctx, inv.pcoeffs, exact=True))
 
     def apply(self, P: TruncSeries) -> TruncSeries:
-        """phi(P) = P(H(T)) on P's own window."""
-        return series_compose(P, self.generator_ts(P.trunc))
+        """phi(P) = P(H(T)) = sum_j a_j H^j on P's own window."""
+        acc = TruncSeries.zero(self.ctx, P.trunc)
+        for j, a in enumerate(P.coeffs):
+            if not a.is_exact_zero():
+                acc = acc + self.gen_power(j, P.trunc).scale(a)
+        return acc
 
     def __repr__(self):
         return f"<additive iso, H = {self.H!r}>"
@@ -260,11 +266,10 @@ def check_duality_diagram(inner: UmbralMap, iso: AdditiveIso, x: LaurentF,
         if not admissible_heuristic(m, x).apparently_admissible:
             raise PreconditionFailedError(
                 f"x not apparently admissible for {m.name}")
-    H_ts = iso.generator_ts(trunc)
     for j in range(basis):
         P = TruncSeries.monomial(inner.ctx, j, trunc)
         flowed = apply_flow(inner, x, P, require_admissible=False)
-        lhs = series_compose(flowed, H_ts)
+        lhs = iso.apply(flowed)
         if iso.H.exact:
             big = max(iso.degree_bound(j) + 1, trunc)
         else:

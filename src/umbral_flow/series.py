@@ -25,6 +25,15 @@ from .errors import (
 from .laurent import INF, LaurentF, json_fields
 
 
+def top_place(p: int, n: int):
+    """(t, p^t) for the largest p-power p^t <= n (n >= 1): the place of
+    n's top base-p digit."""
+    t, e = 0, 1
+    while e * p <= n:
+        t, e = t + 1, e * p
+    return t, e
+
+
 def plen(p: int, span: int) -> int:
     """Smallest m >= 1 with p^m >= span: the number of p-power terms an
     additive series needs to reach the window T^0 ... T^(span-1)."""
@@ -124,28 +133,50 @@ class TruncSeries:
         n = min(self.trunc, other.trunc)
         z = LaurentF.zero(self.ctx)
         out = [z] * n
+        bs = [(j, b) for j, b in enumerate(other.coeffs[:n])
+              if not b.is_exact_zero()]
         for i, a in enumerate(self.coeffs[:n]):
             if a.is_exact_zero():
                 continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b.is_exact_zero():
-                    continue
+            for j, b in bs:
+                if i + j >= n:
+                    break
                 out[i + j] = out[i + j] + a * b
         return TruncSeries(self.ctx, out)
 
+    def frobenius(self, t):
+        """B^(p^t) = sum_j c_j^(p^t) T^(j p^t) in characteristic p: each
+        coefficient moves, none is multiplied, and the gaps are exact zeros.
+
+        A moved coefficient keeps the precision the product route gives
+        c^e (e = p^t), prec + (e - 1) v, rather than the e * prec of
+        ``frob_power``; truncation only gives up known digits, and the
+        longer code lists would slow every later product."""
+        if t == 0:
+            return self
+        e = self.ctx.p ** t
+        z = LaurentF.zero(self.ctx)
+        out = [z] * self.trunc
+        for j in range(0, self.trunc, e):
+            c = self.coeffs[j // e]
+            if not c.is_exact_zero():
+                cap = c.prec + (e - 1) * c.val_lower_bound()
+                out[j] = c.frob_power(t).truncate(cap)
+        return TruncSeries(self.ctx, out)
+
     def __pow__(self, n):
-        if n == 0:
-            return TruncSeries.monomial(self.ctx, 0, self.trunc)
+        """B^n = B^(n - p^t) * B^(p^t) for p^t the top base-p place of n,
+        where B^(p^t) is a Frobenius twist: n's base-p digit sum, less one,
+        series products."""
+        p = self.ctx.p
         r = None
-        b = self
         while n:
-            if n & 1:
-                r = b if r is None else r * b
-            n >>= 1
-            if n:
-                b = b * b
-        return r
+            t, e = top_place(p, n)
+            f = self.frobenius(t)
+            r = f if r is None else r * f
+            n -= e
+        return r if r is not None else \
+            TruncSeries.monomial(self.ctx, 0, self.trunc)
 
     def __eq__(self, other):
         return (isinstance(other, TruncSeries) and self.ctx is other.ctx

@@ -173,6 +173,25 @@ def test_cli_verify_all_report_bytes(capsys, monkeypatch):
     assert capsys.readouterr().out == expected
 
 
+_BEYOND_F2 = {
+    "q3_t8": ["--p", "3", "--trials", "8"],
+    "q4_t4": ["--d", "2", "--modulus", "1", "1", "1", "--trials", "4"],
+}
+
+
+@pytest.mark.parametrize("claim", ["duality", "geometric", "example57",
+                                   "iso-roundtrip"])
+@pytest.mark.parametrize("tag", sorted(_BEYOND_F2))
+def test_cli_verify_report_bytes_beyond_f2(capsys, monkeypatch, tag, claim):
+    # the dual-map claims over F_3 and F_4, where p-power indexing and the
+    # d > 1 interleave differ from F_2; saved reports, compared byte for byte
+    monkeypatch.delenv("UMBRAL_FLOW_CAP", raising=False)
+    expected = (Path(__file__).parent / "data" /
+                f"verify_{claim}_{tag}.json").read_text()
+    assert main(_BEYOND_F2[tag] + ["verify", claim]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("flag,literal", [
     ("--x", {"coeffs": [[1]], "prec": None}),          # Laurent without "v"
     ("--x", {"v": "a", "coeffs": [[1]], "prec": None}),  # non-integer "v"

@@ -13,10 +13,14 @@ from umbral_flow.duality import (
     is_geometric_at,
     merge_reports,
 )
-from umbral_flow.errors import NotAGeneratorError, PreconditionFailedError
+from umbral_flow.errors import (
+    NotAGeneratorError,
+    PreconditionFailedError,
+    TruncationMismatchError,
+)
 from umbral_flow.fq import PolyA
 from umbral_flow.laurent import INF, LaurentF, agreement_valuation
-from umbral_flow.series import AdditiveSeries, TruncSeries
+from umbral_flow.series import AdditiveSeries, TruncSeries, plen, series_compose
 from umbral_flow.umbral import AdditiveMap, GeometricMap, IdentityFn, NaiveMap, TwistedMap
 from umbral_flow.verify import ec_generator, ec_iso, ex58_iso
 
@@ -30,9 +34,9 @@ def _unit_x(ctx, rng, prec=N):
                     [rng.randrange(ctx.q) for _ in range(prec - 2)], prec)
 
 
-def _rand_series(ctx, rng, trunc=M, prec=N):
+def _rand_series(ctx, rng, trunc=M, prec=N, v_lo=0):
     return TruncSeries(ctx, [
-        LaurentF(ctx, rng.randint(0, 4), [rng.randrange(1, ctx.q)] +
+        LaurentF(ctx, rng.randint(v_lo, 4), [rng.randrange(1, ctx.q)] +
                  [rng.randrange(ctx.q) for _ in range(6)], prec)
         for _ in range(trunc)])
 
@@ -72,6 +76,60 @@ def test_apply_iso_t_plus_t2(F2):
     out = iso.apply(TruncSeries.monomial(F2, 2, M))
     hot = [j for j, c in enumerate(out.coeffs) if not c.is_zero_at_prec()]
     assert hot == [2, 4]  # (T+T^2)^2 in char 2
+
+
+def _rand_generator(ctx, rng, length, prec=N + 32):
+    """An exact generator: a unit linear coefficient, then coefficients of
+    valuation down to -1."""
+    pc = [LaurentF(ctx, 0, [rng.randrange(1, ctx.q)] +
+                   [rng.randrange(ctx.q) for _ in range(6)], prec)]
+    for _ in range(length - 1):
+        pc.append(LaurentF(ctx, rng.randint(-1, 3), [rng.randrange(1, ctx.q)] +
+                           [rng.randrange(ctx.q) for _ in range(6)], prec))
+    return AdditiveSeries(ctx, pc, exact=True)
+
+
+def _test_isos(cctx, rng, trunc):
+    """ec_iso plus two random exact generators, all fitting below T^trunc."""
+    ctx = cctx.field
+    return [ec_iso(cctx, plen(ctx.q, trunc), N + 32)] + [
+        AdditiveIso(_rand_generator(ctx, rng, plen(ctx.p, trunc)))
+        for _ in range(2)]
+
+
+@pytest.mark.parametrize("cc_name", ["cc2", "cc3", "cc4"])
+def test_apply_iso_matches_compose(cc_name, request, assert_refines):
+    # phi(P) from the cached power table against the Horner composition
+    cctx = request.getfixturevalue(cc_name)
+    rng = random.Random(17)
+    for iso in _test_isos(cctx, rng, M):
+        for _ in range(3):
+            P = _rand_series(cctx.field, rng, v_lo=-2)
+            assert_refines(iso.apply(P),
+                           series_compose(P, iso.generator_ts(M)))
+
+
+@pytest.mark.parametrize("cc_name", ["cc2", "cc3", "cc4"])
+def test_hinv_power_matches_repeated_products(cc_name, request,
+                                              assert_refines):
+    # (H^(-1))^k grown by base-p digits against k plain products
+    cctx = request.getfixturevalue(cc_name)
+    rng = random.Random(18)
+    trunc = 80
+    for iso in _test_isos(cctx, rng, M):
+        step = iso.inverse_ts(trunc)
+        ref = TruncSeries.monomial(cctx.field, 0, trunc)
+        for k in range(1, 28):
+            ref = ref * step
+            assert_refines(iso.hinv_power(k, trunc), ref)
+
+
+def test_apply_iso_needs_generator_in_window(F2):
+    # T^8 is past the window T^0 ... T^7: the power table's base raises
+    one = LaurentF.one(F2)
+    iso = AdditiveIso(AdditiveSeries(F2, [one] * 4))
+    with pytest.raises(TruncationMismatchError):
+        iso.apply(TruncSeries.monomial(F2, 1, 8))
 
 
 def test_dual_moment_k0(cc2):

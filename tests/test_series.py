@@ -134,6 +134,56 @@ def test_series_pow_monomial(F2):
     assert (TruncSeries.monomial(F2, 1, 4) ** 5).is_zero()
 
 
+def _product_power(P, n):
+    """P^n by n - 1 plain series products: the reference for powers."""
+    r = P
+    for _ in range(n - 1):
+        r = r * P
+    return r
+
+
+@pytest.mark.parametrize("ctx_name", ["F2", "F3", "F4"])
+def test_frobenius_matches_repeated_products(ctx_name, request,
+                                             assert_refines):
+    # P^(p^t) as a coefficient twist against t rounds of p-fold products,
+    # with negative valuations and some exact-zero coefficients
+    ctx = request.getfixturevalue(ctx_name)
+    rng = random.Random(31)
+    for _ in range(6):
+        P = _rand_series(ctx, rng, v_lo=-3, v_hi=4)
+        ref = P
+        t = 1
+        while ctx.p ** t < M:
+            ref = _product_power(ref, ctx.p)
+            assert_refines(P.frobenius(t), ref)
+            t += 1
+
+
+@pytest.mark.parametrize("ctx_name", ["F2", "F3", "F4"])
+def test_frobenius_keeps_product_precision(ctx_name, request):
+    # a moved coefficient keeps exactly the precision c^e has by products,
+    # prec + (e - 1) v, not the e * prec a coefficientwise power could claim
+    ctx = request.getfixturevalue(ctx_name)
+    for v in (-2, 0, 3):
+        c = LaurentF(ctx, v, [1, 1, 0, 1], 30)
+        P = TruncSeries.monomial(ctx, 1, M, c)
+        for t in (1, 2):
+            e = ctx.p ** t
+            got = P.frobenius(t).coeffs[e]
+            assert got.prec == 30 + (e - 1) * v
+            assert got == _product_power(P, e).coeffs[e]
+
+
+@pytest.mark.parametrize("ctx_name", ["F2", "F3", "F4"])
+def test_series_pow_digits_match_products(ctx_name, request, assert_refines):
+    ctx = request.getfixturevalue(ctx_name)
+    rng = random.Random(32)
+    P = _rand_series(ctx, rng, v_lo=-2, v_hi=3)
+    assert P ** 0 == TruncSeries.monomial(ctx, 0, M)
+    for n in range(1, 14):
+        assert_refines(P ** n, _product_power(P, n))
+
+
 def test_compose_example(F2):
     inner = TruncSeries.monomial(F2, 1, M) + TruncSeries.monomial(F2, 2, M)
     out = series_compose(TruncSeries.monomial(F2, 2, M), inner)
