@@ -39,7 +39,15 @@ class CarlitzCtx:
         self._lock = threading.Lock()
 
     def dk(self, k: int) -> PolyA:
-        """Product of all monic polynomials of degree k; monic of degree k*q^k."""
+        """Product of all monic polynomials of degree k; monic of degree k*q^k.
+
+        The enumeration is multiplied as a balanced product tree: neighbours
+        pairwise, level by level, until one polynomial is left.  Same
+        factors, exact arithmetic, so the same D_k as left to right; but the
+        work sits in a few products of equal-sized halves, each one packed
+        big-int multiply, instead of q^k products of the running product by
+        a degree-k factor.
+        """
         # check k once: the per-degree cap check in enumerate_polys would
         # only fire after every smaller degree's product was built
         if k < 0:
@@ -49,11 +57,12 @@ class CarlitzCtx:
                 f"q^(k+1) = {self.field.q ** (k + 1)} exceeds cap {self.cap}")
         with self._lock:
             while len(self._dk) <= k:
-                j = len(self._dk)
-                prod = PolyA.one(self.field)
-                for g in enumerate_polys(self.field, j, True, cap=self.cap):
-                    prod = prod * g
-                self._dk.append(prod)
+                level = enumerate_polys(self.field, len(self._dk), True,
+                                        cap=self.cap)
+                while len(level) > 1:
+                    pairs = [a * b for a, b in zip(level[::2], level[1::2])]
+                    level = pairs + level[len(pairs) * 2:]
+                self._dk.append(level[0])
             return self._dk[k]
 
     def dk_inv(self, k: int, prec: int) -> LaurentF:

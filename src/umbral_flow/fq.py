@@ -6,6 +6,15 @@ All element arithmetic is table-driven; the constructor enforces that the
 field is small enough for the exhaustive irreducibility check, which is the
 intended scale of the whole package.
 
+Products of code vectors (``FieldCtx.convolve``) go through one big-int
+multiply (Kronecker substitution) for every field with p^(2d-1) <= 256:
+the prime fields F_p with p < 256, and F_4, F_8, F_16, F_9, F_27 and F_25.
+Each code's base-p digits get byte slots wide enough that no slot overflows,
+and the unreduced product digits of one coefficient fold into one byte that
+a 256-entry table reduces mod f(u).  Short products and larger fields take
+the per-coefficient table loop, which is also the reference the packed path
+is tested against.
+
 Polynomials in t carry their coefficients as tuples of codes, lowest degree
 first, with no trailing zeros.  The degree of the zero polynomial is the
 sentinel ``NEG_INF`` which compares below every integer; this convention is
@@ -15,8 +24,9 @@ load-bearing: it puts the zero polynomial inside every index set
 
 from __future__ import annotations
 
+import array
 import itertools
-import struct
+import sys
 
 from .errors import (
     DivisionByZeroError,
@@ -33,6 +43,10 @@ DEFAULT_ENUM_CAP = 10 ** 6
 _FIELD_SIZE_CAP = 10 ** 6
 
 _PACK_MIN_OPS = 64  # below this a naive convolution beats packing overhead
+
+# Kronecker slot widths in bytes, narrowest first -> array typecode of an
+# unsigned slot of that width
+_SLOT_FMT = {array.array(c).itemsize: c for c in "BHIQ"}
 
 
 def is_prime(n):
@@ -121,9 +135,9 @@ class FieldCtx:
         self._neg = neg = [0] * q
         self._inv = inv = [None] * q
 
-        def dec(c):
+        def dec(c, n=d):
             out = []
-            for _ in range(d):
+            for _ in range(n):
                 c, r = divmod(c, p)
                 out.append(r)
             return out
@@ -134,8 +148,20 @@ class FieldCtx:
                 c = c * p + x
             return c
 
-        self._dec_table = [tuple(dec(c)) for c in range(q)]
         red = list(self.modulus[:-1])  # u^d = -red (monic modulus)
+
+        def reduce_mod_f(prod):
+            # coordinates of an F_p[u] element of degree <= 2d-2 -> code mod f
+            prod = list(prod)
+            for i in range(2 * d - 2, d - 1, -1):
+                c = prod[i]
+                if c:
+                    prod[i] = 0
+                    for j in range(d):
+                        prod[i - d + j] = (prod[i - d + j] - c * red[j]) % p
+            return enc(prod[:d])
+
+        self._dec_table = [tuple(dec(c)) for c in range(q)]
         for a in range(q):
             ca = self._dec_table[a]
             for b in range(q):
@@ -146,13 +172,7 @@ class FieldCtx:
                     if x:
                         for j, y in enumerate(cb):
                             prod[i + j] = (prod[i + j] + x * y) % p
-                for i in range(2 * d - 2, d - 1, -1):
-                    c = prod[i]
-                    if c:
-                        prod[i] = 0
-                        for j in range(d):
-                            prod[i - d + j] = (prod[i - d + j] - c * red[j]) % p
-                mul[a * q + b] = enc(prod[:d])
+                mul[a * q + b] = reduce_mod_f(prod)
             neg[a] = enc([(-x) % p for x in ca])
         for a in range(1, q):
             for b in range(1, q):
@@ -164,6 +184,20 @@ class FieldCtx:
         for _ in range(1, d):
             self._frob.append([frob1[c] for c in self._frob[-1]])
         self._frob1 = frob1
+
+        # Kronecker-packing tables, for fields whose unreduced products
+        # (2d-1 digits base p) fit one byte: _digit[k] maps a code to its
+        # k-th base-p digit, _read[k] a slot byte to (byte mod p) * p^k, and
+        # _fold the folded digits sum_k e_k p^k to the code of sum e_k u^k
+        # mod f(u).  None when p^(2d-1) > 256: the table path serves those.
+        s = 2 * d - 1
+        self._digit = self._read = self._fold = None
+        if p ** s <= 256:
+            self._digit = [bytes(c // p ** k % p for c in range(256))
+                           for k in range(d)]
+            self._read = [bytes(b % p * p ** k for b in range(256))
+                          for k in range(s)]
+            self._fold = bytes(reduce_mod_f(dec(m, s)) for m in range(256))
 
     # -- element (code) arithmetic ------------------------------------------
 
@@ -241,10 +275,17 @@ class FieldCtx:
         """Cauchy product of two code vectors."""
         if not xs or not ys:
             return []
-        if (self.d == 1 and self.p < 256
-                and len(xs) * len(ys) >= _PACK_MIN_OPS
-                and min(len(xs), len(ys)) * (self.p - 1) ** 2 < 2 ** 32):
-            return self._convolve_packed(xs, ys)
+        if self._read is not None and len(xs) * len(ys) >= _PACK_MIN_OPS:
+            # no slot may overflow: each output digit sums at most
+            # min(len) * d products of two digits, each <= (p-1)^2
+            bound = min(len(xs), len(ys)) * self.d * (self.p - 1) ** 2
+            for nb in _SLOT_FMT:
+                if bound < 1 << (8 * nb):
+                    return self._convolve_packed(xs, ys, nb)
+        return self._convolve_table(xs, ys)
+
+    def _convolve_table(self, xs, ys):
+        # the reference path: one table lookup per nonzero coefficient pair
         mul, add, q = self._mul, self._add, self.q
         out = [0] * (len(xs) + len(ys) - 1)
         for i, x in enumerate(xs):
@@ -257,23 +298,40 @@ class FieldCtx:
                     out[k] = add[out[k] * q + mul[row + y]]
         return out
 
-    def _convolve_packed(self, xs, ys):
-        # Kronecker substitution: pack codes into 32-bit slots of a big int,
-        # multiply once in C, then read the slots back mod p.  Valid for
-        # d == 1 where code arithmetic is integer arithmetic mod p; slot
-        # sums stay below 2^32 at this package's scale.
-        p = self.p
+    def _convolve_packed(self, xs, ys, nb):
+        # Kronecker substitution: coefficient i's d base-p digits go into
+        # slots i*(2d-1) .. i*(2d-1)+d-1 of nb bytes each, so the digit
+        # products of one output coefficient land in its own 2d-1 slots
+        # without carries.  One big-int multiply in C; then one byte per
+        # slot that is congruent to it mod p, folded with p-adic weights
+        # into one byte per coefficient and reduced mod f(u) by table.
+        p, s = self.p, 2 * self.d - 1
         n = len(xs) + len(ys) - 1
-        bx = bytearray(4 * len(xs))
-        bx[0::4] = bytes(xs)
-        by = bytearray(4 * len(ys))
-        by[0::4] = bytes(ys)
-        prod = int.from_bytes(bytes(bx), "little") * int.from_bytes(bytes(by), "little")
-        raw = prod.to_bytes(4 * n + 4, "little")
-        slots = struct.unpack_from("<%dI" % n, raw)
-        if p == 2:
-            return [s & 1 for s in slots]
-        return [s % p for s in slots]
+        step = s * nb
+
+        def pack(vs):
+            codes = bytes(vs)
+            buf = bytearray(len(vs) * step)
+            for k, tab in enumerate(self._digit):
+                buf[k * nb::step] = codes.translate(tab)
+            return int.from_bytes(buf, "little")
+
+        raw = (pack(xs) * pack(ys)).to_bytes(n * step, "little")
+        if nb == 1:
+            low = raw
+        elif p == 2:
+            low = raw[::nb]  # 256 is even: the low byte keeps the parity
+        else:
+            slots = array.array(_SLOT_FMT[nb], raw)
+            if sys.byteorder == "big":
+                slots.byteswap()
+            low = bytes([v % p for v in slots])
+        if s == 1:  # d = 1: one slot per coefficient, nothing to fold
+            return list(low.translate(self._read[0]))
+        acc = 0
+        for k, tab in enumerate(self._read):
+            acc += int.from_bytes(low[k::s].translate(tab), "little")
+        return list(acc.to_bytes(n, "little").translate(self._fold))
 
     def __repr__(self):
         if self.d == 1:

@@ -47,6 +47,19 @@ def test_dk_classical_recursion_crosscheck(cc_name, request):
         assert cc.dk(k) == expect
 
 
+@pytest.mark.parametrize("cc_name,kmax", [("cc2", 4), ("cc3", 3),
+                                          ("cc4", 3)])
+def test_dk_tree_matches_left_to_right(cc_name, kmax, request):
+    # the product tree multiplies the same enumeration as the definition
+    field_ctx = request.getfixturevalue(cc_name).field
+    cc = CarlitzCtx(field_ctx)
+    for k in range(kmax + 1):
+        expect = PolyA.one(field_ctx)
+        for g in enumerate_polys(field_ctx, k, True):
+            expect = expect * g
+        assert cc.dk(k) == expect, k
+
+
 def test_ek_base_cases(cc2):
     x = LaurentF.from_poly(PolyA.t(cc2.field) ** 3)
     assert (cc2.ek(0, x) - x).is_exact_zero()

@@ -11,6 +11,7 @@ from umbral_flow.errors import (
 )
 from umbral_flow.fq import (
     NEG_INF,
+    FieldCtx,
     FqElem,
     PolyA,
     enumerate_polys,
@@ -163,3 +164,92 @@ def test_poly_evaluate(F3):
     p = t * t + t + PolyA.one(F3)
     # p(2) = 4 + 2 + 1 = 7 = 1 mod 3
     assert p.evaluate(FqElem(F3, 2)).code == 1
+
+
+# Kronecker-packed convolution against the table path.  The packed path
+# picks the narrowest slot with min(len) * d * (p-1)^2 < 2^(8 * bytes);
+# "edge" below is the longest min(len) that still fits one-byte slots.
+_PACK_FIELDS = {
+    "F2": (2, 1, None),
+    "F3": (3, 1, None),
+    "F4": (2, 2, (1, 1, 1)),
+    "F8": (2, 3, (1, 1, 0, 1)),
+    "F9": (3, 2, (1, 0, 1)),
+}
+
+
+def _one_byte_edge(ctx):
+    return 255 // (ctx.d * (ctx.p - 1) ** 2)
+
+
+@st.composite
+def _packed_case(draw):
+    ctx = field(*_PACK_FIELDS[draw(st.sampled_from(sorted(_PACK_FIELDS)))])
+    edge = _one_byte_edge(ctx)
+    kind = draw(st.sampled_from(["random", "sparse", "top", "unit"]))
+    # "unit": a length-1 side against a side long enough to pack
+    m = 1 if kind == "unit" else draw(st.sampled_from([edge, edge + 1]))
+    lo = 64 if m == 1 else m  # m * n >= 64 pairs: the packed path
+    n = draw(st.integers(lo, lo + 24))
+    rng = draw(st.randoms(use_true_random=False))
+    q = ctx.q
+
+    def vec(size):
+        if kind == "top":  # every digit p-1: the largest slot sums
+            return [q - 1] * size
+        if kind == "sparse":
+            return [rng.randrange(1, q) if rng.random() < 0.1 else 0
+                    for _ in range(size)]
+        return [rng.randrange(q) for _ in range(size)]
+
+    xs, ys = vec(m), vec(n)
+    if draw(st.booleans()):
+        xs, ys = ys, xs
+    return ctx, xs, ys
+
+
+@given(_packed_case())
+@settings(max_examples=120, deadline=None)
+def test_convolve_packed_matches_table(case):
+    ctx, xs, ys = case
+    assert ctx.convolve(xs, ys) == ctx._convolve_table(xs, ys)
+
+
+def test_convolve_dispatch(monkeypatch):
+    # every field with p^(2d-1) <= 256 packs, d > 1 included, with the slot
+    # width switching exactly at the overflow bound; F_32 (2^9 > 256) stays
+    # on the table path
+    widths = []
+    packed = FieldCtx._convolve_packed
+
+    def spy(self, xs, ys, nb):
+        widths.append(nb)
+        return packed(self, xs, ys, nb)
+
+    def refuse(self, xs, ys):
+        raise AssertionError("table path")
+
+    rng = random.Random(7)
+    cases = []
+    for args in _PACK_FIELDS.values():
+        ctx = field(*args)
+        edge = _one_byte_edge(ctx)
+        for m in (edge, edge + 1):
+            xs = [rng.randrange(ctx.q) for _ in range(m)]
+            ys = [rng.randrange(ctx.q) for _ in range(edge + 1)]
+            cases.append((ctx, xs, ys, ctx._convolve_table(xs, ys)))
+    F4 = field(2, 2, (1, 1, 1))
+    xs = [rng.randrange(4) for _ in range(64)]
+    ys = [rng.randrange(4) for _ in range(64)]
+    expect = F4._convolve_table(xs, ys)
+
+    monkeypatch.setattr(FieldCtx, "_convolve_packed", spy)
+    monkeypatch.setattr(FieldCtx, "_convolve_table", refuse)
+    assert F4.convolve(xs, ys) == expect
+    assert widths == [1]
+    for ctx, xs, ys, expect in cases:
+        assert ctx.convolve(xs, ys) == expect
+    assert widths[1:] == [1, 2] * len(_PACK_FIELDS)
+    F32 = field(2, 5, (1, 0, 1, 0, 0, 1))
+    with pytest.raises(AssertionError, match="table path"):
+        F32.convolve([1] * 64, [1] * 64)
