@@ -266,17 +266,20 @@ def check_duality_diagram(inner: UmbralMap, iso: AdditiveIso, x: LaurentF,
         if not admissible_heuristic(m, x).apparently_admissible:
             raise PreconditionFailedError(
                 f"x not apparently admissible for {m.name}")
+    # one truncation for every basis index: products are prefix-stable, and
+    # past deg(H^j) the coefficients of H^j are exact zeros, which the dual
+    # flow's coefficient sums skip
+    if iso.H.exact:
+        big = max(iso.degree_bound(basis - 1) + 1, trunc)
+    else:
+        big = trunc
+        if inner.ctx.p ** iso.H.length < trunc:
+            raise TruncationMismatchError(
+                "truncated generator does not cover the window")
     for j in range(basis):
         P = TruncSeries.monomial(inner.ctx, j, trunc)
         flowed = apply_flow(inner, x, P, require_admissible=False)
         lhs = iso.apply(flowed)
-        if iso.H.exact:
-            big = max(iso.degree_bound(j) + 1, trunc)
-        else:
-            big = trunc
-            if inner.ctx.p ** iso.H.length < trunc:
-                raise TruncationMismatchError(
-                    "truncated generator does not cover the window")
         Q = iso.gen_power(j, big)
         for h in range(trunc):
             rhs_h = flow_coefficient(dual, x, Q, h)

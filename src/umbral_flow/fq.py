@@ -2,20 +2,29 @@
 
 Field elements are integer codes in ``range(q)``: the base-p digits of a code
 are the coordinates on the power basis 1, u, ..., u^(d-1) of F_p[u]/(f(u)).
-All element arithmetic is table-driven; the constructor enforces that the
-field is small enough for the exhaustive irreducibility check, which is the
-intended scale of the whole package.
+All element arithmetic is table-driven.  The constructor rejects q > 256, so
+that every code fits one byte; that also keeps the exhaustive
+irreducibility check small, which is the intended scale of the whole
+package.
 
-Products of code vectors (``FieldCtx.convolve``) go through one big-int
-multiply (Kronecker substitution) for every field with p^(2d-1) <= 256:
-the prime fields F_p with p < 256, and F_4, F_8, F_16, F_9, F_27 and F_25.
-Each code's base-p digits get byte slots wide enough that no slot overflows,
-and the unreduced product digits of one coefficient fold into one byte that
-a 256-entry table reduces mod f(u).  Short products and larger fields take
-the per-coefficient table loop, which is also the reference the packed path
-is tested against.
+Code vectors are ``bytes``, one code per byte, lowest index first, and the
+``FieldCtx`` vector kernels run as C-level bytes and big-int operations:
 
-Polynomials in t carry their coefficients as tuples of codes, lowest degree
+* add is one big-int XOR for p = 2 (the base-2 digits of a code are its
+  bits), and one big-int add plus a mod-p ``translate`` for d = 1, p < 128
+  (two digits below 128 sum below 256, so no byte carries).  The other
+  fields take a per-coefficient table loop, also the reference the fast
+  paths are tested against;
+* neg, scale and Frobenius are one ``translate`` by a 256-byte table each;
+* products (``convolve``) go through one big-int multiply (Kronecker
+  substitution) for every field with p^(2d-1) <= 256: the prime fields
+  F_p with p < 256, and F_4, F_8, F_16, F_9, F_27 and F_25.  Each code's
+  base-p digits get byte slots wide enough that no slot overflows, and the
+  unreduced product digits of one coefficient fold into one byte that a
+  256-entry table reduces mod f(u).  Short products and larger fields take
+  the per-coefficient table loop, the reference for the packed path.
+
+Polynomials in t carry their coefficients as a code vector, lowest degree
 first, with no trailing zeros.  The degree of the zero polynomial is the
 sentinel ``NEG_INF`` which compares below every integer; this convention is
 load-bearing: it puts the zero polynomial inside every index set
@@ -38,11 +47,13 @@ NEG_INF = float("-inf")
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
-# d * p^d above this bound makes the exhaustive irreducibility check (and
-# everything downstream) unreasonable; reject at construction time.
-_FIELD_SIZE_CAP = 10 ** 6
-
-_PACK_MIN_OPS = 64  # below this a naive convolution beats packing overhead
+# Products of fewer coefficient pairs take the table loop.  Measured with
+# bytes inputs, packing wins from about 4 pairs for d = 1 (F_2, F_3: one
+# int.from_bytes per operand) and from 48-64 pairs for d > 1 (F_4, F_8,
+# F_9: digit translates and a fold).  Over the small products recorded in
+# one pass of each benchmark workload, 48 beats 64 on every workload and
+# gives the least total time of the thresholds tried (1 to 64).
+_PACK_MIN_OPS = 48
 
 # Kronecker slot widths in bytes, narrowest first -> array typecode of an
 # unsigned slot of that width
@@ -109,8 +120,9 @@ class FieldCtx:
             raise ValueError(f"p = {p} is not prime")
         if d < 1:
             raise ValueError("extension degree must be >= 1")
-        if d * p ** d > _FIELD_SIZE_CAP:
-            raise ValueError(f"field F_{p}^{d} too large for exhaustive checks")
+        if p ** d > 256:
+            raise ValueError(f"field F_{p}^{d} too large: q = p^d must be "
+                             f"<= 256, one code per byte")
         if modulus is None:
             if d != 1:
                 raise ValueError("an irreducible modulus is required for d > 1")
@@ -132,7 +144,7 @@ class FieldCtx:
         p, d, q = self.p, self.d, self.q
         self._add = add = [0] * (q * q)
         self._mul = mul = [0] * (q * q)
-        self._neg = neg = [0] * q
+        neg = [0] * q
         self._inv = inv = [None] * q
 
         def dec(c, n=d):
@@ -179,11 +191,20 @@ class FieldCtx:
                 if mul[a * q + b] == 1:
                     inv[a] = b
                     break
+
+        # 256-byte tables, indexed by a code or used by ``bytes.translate``
+        # on a code vector: _neg[c] = -c, _scale[s][c] = s*c and
+        # _frob[i][c] = c^(p^i)
+        def table(codes):
+            return bytes(codes).ljust(256, b"\0")
+
+        self._neg = table(neg)
+        self._scale = [table(mul[s * q:(s + 1) * q]) for s in range(q)]
         frob1 = [self.pow_c(a, p) for a in range(q)]
-        self._frob = [list(range(q))]
+        frob = [list(range(q))]
         for _ in range(1, d):
-            self._frob.append([frob1[c] for c in self._frob[-1]])
-        self._frob1 = frob1
+            frob.append([frob1[c] for c in frob[-1]])
+        self._frob = [table(f) for f in frob]
 
         # Kronecker-packing tables, for fields whose unreduced products
         # (2d-1 digits base p) fit one byte: _digit[k] maps a code to its
@@ -243,38 +264,50 @@ class FieldCtx:
         return self._dec_table[code]
 
     # -- vector kernels ------------------------------------------------------
-    # These operate on plain lists of codes; they are the hot paths shared by
-    # polynomial and truncated-Laurent multiplication.
+    # Code vectors are bytes, one code per byte; these are the hot paths
+    # shared by polynomial and truncated-Laurent arithmetic.
 
-    def vec_add(self, xs, ys):
-        if len(xs) < len(ys):
-            xs, ys = ys, xs
+    def add(self, xs, ys, k=0):
+        """The coefficientwise sum of xs and ys moved up k places (k >= 0):
+        out[i] = xs[i] + ys[i - k], of length max(len(xs), k + len(ys))."""
+        n = max(len(xs), k + len(ys))
+        if self.p == 2:  # the base-2 digits of a code are its bits
+            return (int.from_bytes(xs, "little")
+                    ^ (int.from_bytes(ys, "little") << 8 * k)
+                    ).to_bytes(n, "little")
+        if self.d == 1 and self.p < 128:  # byte sums <= 2(p-1): no carries
+            return (int.from_bytes(xs, "little")
+                    + (int.from_bytes(ys, "little") << 8 * k)
+                    ).to_bytes(n, "little").translate(self._read[0])  # mod p
+        return self._add_table(xs, ys, k)
+
+    def _add_table(self, xs, ys, k=0):
+        # the reference path: one table lookup per nonzero coefficient
         add, q = self._add, self.q
-        out = list(xs)
-        for i, y in enumerate(ys):
-            out[i] = add[out[i] * q + y]
-        return out
+        out = bytearray(max(len(xs), k + len(ys)))
+        out[:len(xs)] = xs
+        for j, y in enumerate(ys, k):
+            if y:
+                out[j] = add[out[j] * q + y]
+        return bytes(out)
 
-    def vec_neg(self, xs):
-        neg = self._neg
-        return [neg[x] for x in xs]
+    def neg(self, xs):
+        return xs.translate(self._neg)
 
-    def vec_scale(self, s, xs):
+    def scale(self, s, xs):
+        """s * xs for the code s."""
         if s == 0:
-            return [0] * len(xs)
-        if s == 1:
-            return list(xs)
-        mul, q = self._mul, self.q
-        return [mul[s * q + x] for x in xs]
+            return bytes(len(xs))
+        return xs if s == 1 else xs.translate(self._scale[s])
 
-    def vec_frob(self, xs, i):
-        tab = self._frob[i % self.d]
-        return [tab[x] for x in xs]
+    def frob(self, xs, i):
+        """xs^(p^i) coefficientwise."""
+        return xs.translate(self._frob[i % self.d])
 
     def convolve(self, xs, ys):
         """Cauchy product of two code vectors."""
         if not xs or not ys:
-            return []
+            return b""
         if self._read is not None and len(xs) * len(ys) >= _PACK_MIN_OPS:
             # no slot may overflow: each output digit sums at most
             # min(len) * d products of two digits, each <= (p-1)^2
@@ -296,7 +329,7 @@ class FieldCtx:
                 if y:
                     k = i + j
                     out[k] = add[out[k] * q + mul[row + y]]
-        return out
+        return bytes(out)
 
     def _convolve_packed(self, xs, ys, nb):
         # Kronecker substitution: coefficient i's d base-p digits go into
@@ -310,10 +343,15 @@ class FieldCtx:
         step = s * nb
 
         def pack(vs):
-            codes = bytes(vs)
+            if step == 1:  # d = 1, 1-byte slots: the codes are the slots
+                return int.from_bytes(vs, "little")
             buf = bytearray(len(vs) * step)
-            for k, tab in enumerate(self._digit):
-                buf[k * nb::step] = codes.translate(tab)
+            if s == 1:  # d = 1: a code is its own digit
+                buf[::step] = vs
+            else:
+                codes = bytes(vs)
+                for k, tab in enumerate(self._digit):
+                    buf[k * nb::step] = codes.translate(tab)
             return int.from_bytes(buf, "little")
 
         raw = (pack(xs) * pack(ys)).to_bytes(n * step, "little")
@@ -327,11 +365,11 @@ class FieldCtx:
                 slots.byteswap()
             low = bytes([v % p for v in slots])
         if s == 1:  # d = 1: one slot per coefficient, nothing to fold
-            return list(low.translate(self._read[0]))
+            return low.translate(self._read[0])
         acc = 0
         for k, tab in enumerate(self._read):
             acc += int.from_bytes(low[k::s].translate(tab), "little")
-        return list(acc.to_bytes(n, "little").translate(self._fold))
+        return acc.to_bytes(n, "little").translate(self._fold)
 
     def __repr__(self):
         if self.d == 1:
@@ -430,11 +468,8 @@ class PolyA:
     __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx, codes):
-        codes = list(codes)
-        while codes and codes[-1] == 0:
-            codes.pop()
         self.ctx = ctx
-        self.codes = tuple(codes)
+        self.codes = bytes(codes).rstrip(b"\0")
 
     @classmethod
     def from_coeffs(cls, ctx, coeffs):
@@ -483,20 +518,20 @@ class PolyA:
         return FqElem(self.ctx, code)
 
     def __add__(self, other):
-        return PolyA(self.ctx, self.ctx.vec_add(list(self.codes), list(other.codes)))
+        return PolyA(self.ctx, self.ctx.add(self.codes, other.codes))
 
     def __neg__(self):
-        return PolyA(self.ctx, self.ctx.vec_neg(list(self.codes)))
+        return PolyA(self.ctx, self.ctx.neg(self.codes))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        return PolyA(self.ctx, self.ctx.convolve(list(self.codes), list(other.codes)))
+        return PolyA(self.ctx, self.ctx.convolve(self.codes, other.codes))
 
     def scale(self, s):
         code = s.code if isinstance(s, FqElem) else s
-        return PolyA(self.ctx, self.ctx.vec_scale(code, list(self.codes)))
+        return PolyA(self.ctx, self.ctx.scale(code, self.codes))
 
     def __pow__(self, n):
         r = PolyA.one(self.ctx)
@@ -513,12 +548,12 @@ class PolyA:
         if other.is_zero():
             raise DivisionByZeroError("division by the zero polynomial")
         ctx = self.ctx
-        rem = list(self.codes)
+        rem = bytearray(self.codes)
         db = len(other.codes) - 1
         if len(rem) - 1 < db:
             return PolyA.zero(ctx), self
         lead_inv = ctx.inv_c(other.codes[-1])
-        quot = [0] * (len(rem) - db)
+        quot = bytearray(len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c == 0:
@@ -592,7 +627,7 @@ def enumerate_polys(ctx, max_deg, monic_only, cap=DEFAULT_ENUM_CAP):
     out = []
     if monic_only:
         for tail in itertools.product(range(q), repeat=max_deg):
-            out.append(PolyA(ctx, list(tail) + [1]))
+            out.append(PolyA(ctx, bytes(tail) + b"\1"))
     else:
         for tail in itertools.product(range(q), repeat=max_deg):
             out.append(PolyA(ctx, tail))

@@ -1,10 +1,11 @@
 """Precision-tracked Laurent series in F = F_q((1/t)).
 
 A value is stored as (v, codes, prec): the series sum_{i>=v} c_i s^i in the
-uniformizer s = 1/t, where codes holds c_v ... c_{v+len-1} and every
-coefficient at exponents beyond the stored window but below ``prec`` is an
-exact zero.  ``prec`` is the absolute precision: coefficients at exponents
->= prec are unknown.  ``prec`` may be ``INF`` for exact values (embedded
+uniformizer s = 1/t, where codes is the ``bytes`` code vector c_v ...
+c_{v+len-1} (one F_q code per byte, q <= 256) and every coefficient at
+exponents beyond the stored window but below ``prec`` is an exact zero.
+``prec`` is the absolute precision: coefficients at exponents >= prec are
+unknown.  ``prec`` may be ``INF`` for exact values (embedded
 polynomials, exact zero), which is how exactness propagates through the
 Carlitz products.
 
@@ -19,6 +20,11 @@ Three states:
 * zero at precision   -- no codes, finite prec; the valuation is unknown
                          (only >= prec is known) and valuation() raises
 * nonzero             -- codes[0] != 0, codes[-1] != 0, v + len(codes) <= prec
+
+The constructor normalizes any code sequence to that form with
+``lstrip``/``rstrip`` of zero bytes, and the ring operations hand whole
+code vectors to the ``FieldCtx`` kernels, which run as C-level bytes and
+big-int operations wherever the field allows (see ``fq``).
 """
 
 from __future__ import annotations
@@ -40,23 +46,15 @@ class LaurentF:
 
     def __init__(self, ctx, v, codes, prec):
         # normalize: strip zero edges, drop coefficients at/above prec
-        codes = list(codes)
-        n = len(codes)
-        i = 0
-        while i < n and codes[i] == 0:
-            i += 1
-        if i:
-            v += i
-            codes = codes[i:]
-        if prec != INF and codes and v + len(codes) > prec:
-            codes = codes[:max(0, prec - v)]
-        while codes and codes[-1] == 0:
-            codes.pop()
-        if not codes:
-            v = 0
+        codes = bytes(codes)
+        body = codes.lstrip(b"\0")
+        v += len(codes) - len(body)
+        if prec != INF and v + len(body) > prec:
+            body = body[:max(0, prec - v)]
+        body = body.rstrip(b"\0")
         self.ctx = ctx
-        self.v = v
-        self.codes = tuple(codes)
+        self.v = v if body else 0
+        self.codes = body
         self.prec = prec
 
     # -- constructors --------------------------------------------------------
@@ -73,7 +71,7 @@ class LaurentF:
     def from_poly(cls, poly: PolyA, prec=INF):
         """Embed a polynomial in t: degree n lands at valuation -n, exactly."""
         return cls(poly.ctx, -poly.degree if poly.codes else 0,
-                   tuple(reversed(poly.codes)), prec)
+                   poly.codes[::-1], prec)
 
     @classmethod
     def t_power(cls, ctx, n, prec=INF):
@@ -143,22 +141,12 @@ class LaurentF:
             # a zero-at-precision operand only caps the precision
             nz = self if self.codes else other
             return LaurentF(self.ctx, nz.v, nz.codes, prec)
-        v = min(self.v, other.v)
-        n = max(self.v + len(self.codes), other.v + len(other.codes)) - v
-        out = [0] * n
-        out[self.v - v:self.v - v + len(self.codes)] = self.codes
-        ctx = self.ctx
-        add, q = ctx._add, ctx.q
-        base = other.v - v
-        for j, c in enumerate(other.codes):
-            if c:
-                k = base + j
-                out[k] = add[out[k] * q + c]
-        return LaurentF(ctx, v, out, prec)
+        lo, hi = (self, other) if self.v <= other.v else (other, self)
+        return LaurentF(self.ctx, lo.v,
+                        self.ctx.add(lo.codes, hi.codes, hi.v - lo.v), prec)
 
     def __neg__(self):
-        return LaurentF(self.ctx, self.v, self.ctx.vec_neg(list(self.codes)),
-                        self.prec)
+        return LaurentF(self.ctx, self.v, self.ctx.neg(self.codes), self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -170,15 +158,15 @@ class LaurentF:
         if not self.codes or not other.codes:
             return LaurentF(ctx, 0, (), prec)
         return LaurentF(ctx, self.v + other.v,
-                        ctx.convolve(list(self.codes), list(other.codes)), prec)
+                        ctx.convolve(self.codes, other.codes), prec)
 
     def scale(self, s):
         code = s.code if isinstance(s, FqElem) else s
         if code == 0:
             return LaurentF.zero(self.ctx) if self.prec == INF \
                 else LaurentF.zero_at(self.ctx, self.prec)
-        return LaurentF(self.ctx, self.v,
-                        self.ctx.vec_scale(code, list(self.codes)), self.prec)
+        return LaurentF(self.ctx, self.v, self.ctx.scale(code, self.codes),
+                        self.prec)
 
     def shift(self, k):
         """Multiply by s^k = t^(-k), exactly."""
@@ -206,7 +194,7 @@ class LaurentF:
         length = out_prec + self.v  # number of coefficients from -v upward
         if length <= 0:
             return LaurentF.zero_at(self.ctx, out_prec)
-        codes = _series_inv(self.ctx, list(self.codes), length)
+        codes = _series_inv(self.ctx, self.codes, length)
         return LaurentF(self.ctx, -self.v, codes, out_prec)
 
     def __pow__(self, n):
@@ -231,10 +219,8 @@ class LaurentF:
                 return LaurentF.zero_at(self.ctx, self.prec * self.ctx.p ** i)
             return self
         e = self.ctx.p ** i
-        out = [0] * ((len(self.codes) - 1) * e + 1)
-        tab = self.ctx.vec_frob(list(self.codes), i)
-        for j, c in enumerate(tab):
-            out[j * e] = c
+        out = bytearray((len(self.codes) - 1) * e + 1)
+        out[::e] = self.ctx.frob(self.codes, i)
         prec = self.prec if self.prec == INF else self.prec * e
         return LaurentF(self.ctx, self.v * e, out, prec)
 
@@ -317,17 +303,12 @@ def _series_inv(ctx, codes, length):
     """Inverse of a unit power series in s given by codes (codes[0] != 0),
     to ``length`` coefficients, by Newton iteration (valid in any
     characteristic in the form g <- g + g*(1 - a*g))."""
-    c0_inv = ctx.inv_c(codes[0])
-    g = [c0_inv]
+    g = bytes([ctx.inv_c(codes[0])])
     while len(g) < length:
         m = min(2 * len(g), length)
-        a = codes[:m] if m <= len(codes) else codes + [0] * (m - len(codes))
-        ag = ctx.convolve(a, g)[:m]
-        # e = 1 - a*g
-        e = ctx.vec_neg(ag)
-        e[0] = ctx.add_c(e[0], 1)
-        corr = ctx.convolve(g, e)[:m]
-        g = ctx.vec_add(g + [0] * (m - len(g)), corr)
+        ag = ctx.convolve(codes[:m].ljust(m, b"\0"), g)[:m]
+        e = ctx.add(b"\1", ctx.neg(ag))  # 1 - a*g
+        g = ctx.add(g, ctx.convolve(g, e)[:m])
     return g[:length]
 
 

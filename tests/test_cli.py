@@ -240,3 +240,14 @@ def test_cli_bad_k_and_config_exit_2(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "257", "field-info"],
+    ["--p", "257", "verify", "taylor"],
+])
+def test_cli_field_over_256_exits_2(capsys, argv):
+    # codes are stored one per byte, so q = p^d must be <= 256
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

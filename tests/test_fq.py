@@ -29,6 +29,14 @@ def test_field_rejects_bad_parameters():
         field(2, 2, (1, 1))  # degree mismatch
 
 
+def test_field_rejects_q_over_256():
+    # codes are stored one per byte
+    for args in ((257,), (2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
+                 (17, 2, (3, 0, 1))):
+        with pytest.raises(ValueError, match="<= 256"):
+            field(*args)
+
+
 def test_is_prime_small():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
@@ -253,3 +261,49 @@ def test_convolve_dispatch(monkeypatch):
     F32 = field(2, 5, (1, 0, 1, 0, 0, 1))
     with pytest.raises(AssertionError, match="table path"):
         F32.convolve([1] * 64, [1] * 64)
+
+
+# Element-wise kernels on bytes code vectors against per-coefficient
+# lookups.  F_127 is the last field whose add is a big-int add (two digits
+# sum below 256), F_131 the first whose add takes the table loop.
+_VEC_FIELDS = {
+    **_PACK_FIELDS,
+    "F127": (127, 1, None),
+    "F131": (131, 1, None),
+}
+
+
+@st.composite
+def _vec_case(draw):
+    ctx = field(*_VEC_FIELDS[draw(st.sampled_from(sorted(_VEC_FIELDS)))])
+    q = ctx.q
+
+    def vec():
+        kind = draw(st.sampled_from(["random", "zeros", "top", "empty"]))
+        n = 0 if kind == "empty" else draw(st.integers(1, 40))
+        if kind == "zeros":
+            return bytes(n)
+        if kind == "top":  # every digit p-1
+            return bytes([q - 1]) * n
+        return bytes(draw(st.lists(st.integers(0, q - 1), min_size=n,
+                                   max_size=n)))
+
+    return ctx, vec(), vec(), draw(st.integers(0, 12)), \
+        draw(st.integers(0, q - 1)), draw(st.integers(0, 2 * ctx.d))
+
+
+@given(_vec_case())
+@settings(max_examples=200, deadline=None)
+def test_vector_kernels_match_tables(case):
+    ctx, xs, ys, k, s, i = case
+    padded = list(xs) + [0] * (max(len(xs), k + len(ys)) - len(xs))
+    for j, y in enumerate(ys, k):
+        padded[j] = ctx.add_c(padded[j], y)
+    got = ctx.add(xs, ys, k)
+    assert type(got) is bytes
+    assert got == ctx._add_table(xs, ys, k) == bytes(padded)
+    assert ctx.neg(xs) == bytes(ctx.neg_c(x) for x in xs)
+    assert ctx.scale(s, xs) == bytes(ctx.mul_c(s, x) for x in xs)
+    assert ctx.frob(xs, i) == bytes(ctx.frob_c(x, i) for x in xs)
+    if xs and ys:
+        assert ctx.convolve(xs, ys) == ctx._convolve_table(xs, ys)

@@ -55,7 +55,7 @@ def test_valuation_states(F2):
 def test_inv_examples(F2):
     t = LaurentF.t_power(F2, 1)
     ti = t.inv()
-    assert ti.valuation() == 1 and ti.codes == (1,)
+    assert ti.valuation() == 1 and ti.codes == b"\1"
     one = LaurentF.one(F2)
     assert one.inv() == one
     with pytest.raises(ZeroInverseError):
@@ -64,7 +64,7 @@ def test_inv_examples(F2):
     x = LaurentF.from_poly(PolyA.t(F2) * PolyA.t(F2) + PolyA.t(F2))
     xi = x.inv(prec=20)
     assert xi.valuation() == 2
-    assert xi.codes == tuple([1] * len(xi.codes))
+    assert xi.codes == b"\1" * len(xi.codes)
     assert agreement_valuation(x * xi, one) >= 18
 
 
@@ -156,6 +156,100 @@ def test_distributivity_hypothesis(v1, c1, v2, c2):
     lhs = z * (x + y)
     rhs = z * x + z * y
     assert agreement_valuation(lhs, rhs) >= min(lhs.prec, rhs.prec)
+
+
+# Bytes-coded LaurentF arithmetic against a per-coefficient model: a value
+# is {exponent: nonzero code} below its precision, and every operation is
+# written out with the field's element tables.  F_127 is the last field
+# whose add is a big-int add, F_131 the first beyond it.
+_DIFF_FIELDS = {
+    "F2": (2, 1, None),
+    "F3": (3, 1, None),
+    "F4": (2, 2, (1, 1, 1)),
+    "F8": (2, 3, (1, 1, 0, 1)),
+    "F9": (3, 2, (1, 0, 1)),
+    "F127": (127, 1, None),
+    "F131": (131, 1, None),
+}
+
+
+def _model(x):
+    return {x.v + j: c for j, c in enumerate(x.codes) if c}, x.prec
+
+
+def _from_model(ctx, terms, prec):
+    """(v, codes, prec) of the normalized LaurentF the model describes."""
+    terms = {e: c for e, c in terms.items() if c and e < prec}
+    if not terms:
+        return 0, b"", prec
+    v = min(terms)
+    return v, bytes(terms.get(e, 0) for e in range(v, max(terms) + 1)), prec
+
+
+def _model_add(ctx, a, b):
+    (ta, pa), (tb, pb) = a, b
+    out = dict(ta)
+    for e, c in tb.items():
+        out[e] = ctx.add_c(out.get(e, 0), c)
+    return out, min(pa, pb)
+
+
+def _model_mul(ctx, a, b):
+    (ta, pa), (tb, pb) = a, b
+    out = {}
+    for e, c in ta.items():
+        for f, d in tb.items():
+            out[e + f] = ctx.add_c(out.get(e + f, 0), ctx.mul_c(c, d))
+    vlb_a, vlb_b = min(ta, default=pa), min(tb, default=pb)
+    return out, min(pa + vlb_b, pb + vlb_a)
+
+
+@st.composite
+def _laurent_pair(draw):
+    ctx = field(*_DIFF_FIELDS[draw(st.sampled_from(sorted(_DIFF_FIELDS)))])
+    q = ctx.q
+
+    def value():
+        kind = draw(st.sampled_from(
+            ["exact zero", "zero at prec", "random", "top", "monomial"]))
+        v = draw(st.integers(-8, 8))
+        if kind == "exact zero":
+            return LaurentF.zero(ctx)
+        prec = draw(st.sampled_from([INF, v + draw(st.integers(-2, 30))]))
+        if kind == "zero at prec":
+            return LaurentF.zero_at(ctx, v if prec == INF else prec)
+        n = 1 if kind == "monomial" else draw(st.integers(1, 24))
+        if kind == "top":  # every digit p-1
+            codes = [q - 1] * n
+        else:
+            codes = draw(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n))
+        return LaurentF(ctx, v, codes, prec)
+
+    return ctx, value(), value(), draw(st.integers(0, q - 1))
+
+
+@given(_laurent_pair())
+@settings(max_examples=300, deadline=None)
+def test_bytes_laurent_matches_coefficient_model(case):
+    ctx, x, y, s = case
+    mx, my = _model(x), _model(y)
+    neg_y = ({e: ctx.neg_c(c) for e, c in my[0].items()}, my[1])
+
+    def check(got, terms, prec):
+        assert type(got.codes) is bytes
+        assert (got.v, got.codes, got.prec) == _from_model(ctx, terms, prec)
+
+    check(x + y, *_model_add(ctx, mx, my))
+    check(x - y, *_model_add(ctx, mx, neg_y))
+    check(-y, *neg_y)
+    check(x.scale(s), {e: ctx.mul_c(s, c) for e, c in mx[0].items()}, mx[1])
+    check(x * y, *_model_mul(ctx, mx, my))
+    # frob_power spreads the codes p^i apart: keep that small for F_131
+    for i in range(3 if ctx.p < 100 else 2):
+        e = ctx.p ** i
+        check(x.frob_power(i), {f * e: ctx.frob_c(c, i)
+                                for f, c in mx[0].items()}, mx[1] * e)
 
 
 def test_eq_to_prec(F2):

@@ -266,7 +266,7 @@ def test_additive_compose_identity_and_scalars(F2, F3):
     g = LaurentF.from_codes(F3, 0, [2], prec=INF)
     d = LaurentF.from_codes(F3, 0, [2], prec=INF)
     comp = AdditiveSeries.linear(g).compose(AdditiveSeries.linear(d))
-    assert comp.coeff(0).codes == (1,)  # 2*2 = 4 = 1 in F_3
+    assert comp.coeff(0).codes == b"\1"  # 2*2 = 4 = 1 in F_3
 
 
 def test_additive_inverse_all_ones(F2):
@@ -284,7 +284,7 @@ def test_additive_inverse_all_ones(F2):
 def test_additive_inverse_linear_and_identity(F3):
     g = LaurentF.from_codes(F3, 0, [2], prec=INF)
     inv = AdditiveSeries.linear(g).inverse()
-    assert inv.coeff(0).codes == (2,)  # 2 is its own inverse in F_3
+    assert inv.coeff(0).codes == b"\2"  # 2 is its own inverse in F_3
     ident = AdditiveSeries.identity(F3)
     got = ident.inverse()
     assert (got.coeff(0) - LaurentF.one(F3)).is_exact_zero()
