@@ -11,10 +11,8 @@ Code vectors are ``bytes``, one code per byte, lowest index first, and the
 ``FieldCtx`` vector kernels run as C-level bytes and big-int operations:
 
 * add is one big-int XOR for p = 2 (the base-2 digits of a code are its
-  bits), and one big-int add plus a mod-p ``translate`` for d = 1, p < 128
-  (two digits below 128 sum below 256, so no byte carries).  The other
-  fields take a per-coefficient table loop, also the reference the fast
-  paths are tested against;
+  bits).  The other fields take a per-coefficient table loop, also the
+  reference the XOR path is tested against;
 * neg, scale and Frobenius are one ``translate`` by a 256-byte table each;
 * products (``convolve``) go through one big-int multiply (Kronecker
   substitution) for every field with p^(2d-1) <= 256: the prime fields
@@ -275,10 +273,6 @@ class FieldCtx:
             return (int.from_bytes(xs, "little")
                     ^ (int.from_bytes(ys, "little") << 8 * k)
                     ).to_bytes(n, "little")
-        if self.d == 1 and self.p < 128:  # byte sums <= 2(p-1): no carries
-            return (int.from_bytes(xs, "little")
-                    + (int.from_bytes(ys, "little") << 8 * k)
-                    ).to_bytes(n, "little").translate(self._read[0])  # mod p
         return self._add_table(xs, ys, k)
 
     def _add_table(self, xs, ys, k=0):
@@ -346,12 +340,9 @@ class FieldCtx:
             if step == 1:  # d = 1, 1-byte slots: the codes are the slots
                 return int.from_bytes(vs, "little")
             buf = bytearray(len(vs) * step)
-            if s == 1:  # d = 1: a code is its own digit
-                buf[::step] = vs
-            else:
-                codes = bytes(vs)
-                for k, tab in enumerate(self._digit):
-                    buf[k * nb::step] = codes.translate(tab)
+            codes = bytes(vs)
+            for k, tab in enumerate(self._digit):
+                buf[k * nb::step] = codes.translate(tab)
             return int.from_bytes(buf, "little")
 
         raw = (pack(xs) * pack(ys)).to_bytes(n * step, "little")

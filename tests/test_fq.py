@@ -264,8 +264,8 @@ def test_convolve_dispatch(monkeypatch):
 
 
 # Element-wise kernels on bytes code vectors against per-coefficient
-# lookups.  F_127 is the last field whose add is a big-int add (two digits
-# sum below 256), F_131 the first whose add takes the table loop.
+# lookups.  F_127 and F_131 are large prime fields whose digit sums reach
+# 252 and 260, one on each side of a byte.
 _VEC_FIELDS = {
     **_PACK_FIELDS,
     "F127": (127, 1, None),

@@ -160,8 +160,9 @@ def test_distributivity_hypothesis(v1, c1, v2, c2):
 
 # Bytes-coded LaurentF arithmetic against a per-coefficient model: a value
 # is {exponent: nonzero code} below its precision, and every operation is
-# written out with the field's element tables.  F_127 is the last field
-# whose add is a big-int add, F_131 the first beyond it.
+# written out with the field's element tables.  F_127 and F_131 are large
+# prime fields whose digit sums reach 252 and 260, one on each side of a
+# byte.
 _DIFF_FIELDS = {
     "F2": (2, 1, None),
     "F3": (3, 1, None),
