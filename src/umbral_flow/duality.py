@@ -18,6 +18,13 @@ sum of (H^(-1))^k against the inner map's moments out to ``eval_len`` terms.
 Precision of a dual moment is capped at ``eval_len`` since the dropped tail
 is only heuristically small; every acceptance configuration keeps
 ``eval_len`` above its target precision.
+
+Both dual-layer sums are read through a window, and a term whose valuation
+bound reaches the window is never multiplied out (see ``umbral_eval``).  A
+dual moment's window is its cap ``eval_len``.  The duality diagram's dual
+flow coefficient at T^h has the precision of the left side's coefficient as
+its window: the difference of the two is known only below that precision,
+so the skipped terms cannot move the agreement it reports.
 """
 
 from __future__ import annotations
@@ -135,9 +142,8 @@ class AdditiveIso:
     def apply(self, P: TruncSeries) -> TruncSeries:
         """phi(P) = P(H(T)) = sum_j a_j H^j on P's own window."""
         acc = TruncSeries.zero(self.ctx, P.trunc)
-        for j, a in enumerate(P.coeffs):
-            if not a.is_exact_zero():
-                acc = acc + self.gen_power(j, P.trunc).scale(a)
+        for j, a in P.terms:
+            acc = acc + self.gen_power(j, P.trunc).scale(a)
         return acc
 
     def __repr__(self):
@@ -173,7 +179,7 @@ class DualMap(UmbralMap):
         got = cache.get(k)
         if got is None:
             R = self.iso.hinv_power(k, self.eval_len)
-            got = umbral_eval(R, self.inner, x).truncate(self.eval_len)
+            got = umbral_eval(R, self.inner, x, window=self.eval_len)
             cache[k] = got
         return got
 
@@ -282,8 +288,11 @@ def check_duality_diagram(inner: UmbralMap, iso: AdditiveIso, x: LaurentF,
         lhs = iso.apply(flowed)
         Q = iso.gen_power(j, big)
         for h in range(trunc):
-            rhs_h = flow_coefficient(dual, x, Q, h)
-            agreement = (lhs.coeffs[h] - rhs_h).val_lower_bound()
+            # the difference is known only below lhs_h.prec, so rhs terms
+            # bounded at or past it cannot move the agreement
+            lhs_h = lhs.coeffs[h]
+            rhs_h = flow_coefficient(dual, x, Q, h, window=lhs_h.prec)
+            agreement = (lhs_h - rhs_h).val_lower_bound()
             rep.record(agreement, prec,
                        {"x": _key_of(x), "basis_j": j, "coefficient": h})
         rep.trials += 1

@@ -36,8 +36,6 @@ from .fq import FqElem, PolyA
 
 INF = math.inf
 
-DEFAULT_PREC = 64
-
 
 class LaurentF:
     """One element of F_q((1/t)) known to absolute precision ``prec``."""
@@ -74,15 +72,6 @@ class LaurentF:
                    poly.codes[::-1], prec)
 
     @classmethod
-    def t_power(cls, ctx, n, prec=INF):
-        """t^n (so valuation -n); n may be negative."""
-        return cls(ctx, -n, (1,), prec)
-
-    @classmethod
-    def from_codes(cls, ctx, v, codes, prec=DEFAULT_PREC):
-        return cls(ctx, v, codes, prec)
-
-    @classmethod
     def zero_at(cls, ctx, prec):
         """Known to vanish below ``prec``, unknown beyond."""
         return cls(ctx, 0, (), prec)
@@ -114,20 +103,6 @@ class LaurentF:
         if self.codes:
             return self.v
         return self.prec
-
-    def in_integer_ring(self):
-        return self.val_lower_bound() >= 0
-
-    def is_unit_norm(self):
-        return bool(self.codes) and self.v == 0
-
-    def coeff_at(self, i):
-        """Coefficient of s^i as FqElem; raises past stored precision."""
-        if self.prec != INF and i >= self.prec:
-            raise PrecisionLossError(f"coefficient at {i} beyond precision")
-        j = i - self.v
-        code = self.codes[j] if 0 <= j < len(self.codes) else 0
-        return FqElem(self.ctx, code)
 
     # -- ring operations -----------------------------------------------------
 

@@ -67,15 +67,26 @@ def binom_mod_p(n, k, p):
 class TruncSeries:
     """A_0 + a_1 T + ... + a_(M-1) T^(M-1) + O(T^M) with LaurentF coefficients."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "coeffs", "_terms")
 
     def __init__(self, ctx, coeffs):
         self.ctx = ctx
         self.coeffs = tuple(coeffs)
+        self._terms = None
 
     @property
     def trunc(self):
         return len(self.coeffs)
+
+    @property
+    def terms(self):
+        """The (j, a_j) pairs whose a_j is not an exact zero, in order of j;
+        built on first use and kept, since products and flow sums walk the
+        same series many times."""
+        if self._terms is None:
+            self._terms = tuple((j, c) for j, c in enumerate(self.coeffs)
+                                if not c.is_exact_zero())
+        return self._terms
 
     @classmethod
     def zero(cls, ctx, trunc):
@@ -111,7 +122,7 @@ class TruncSeries:
         return min((c.val_lower_bound() for c in self.coeffs), default=INF)
 
     def is_zero(self):
-        return all(c.is_exact_zero() for c in self.coeffs)
+        return not self.terms
 
     def __add__(self, other):
         n = min(self.trunc, other.trunc)
@@ -133,11 +144,10 @@ class TruncSeries:
         n = min(self.trunc, other.trunc)
         z = LaurentF.zero(self.ctx)
         out = [z] * n
-        bs = [(j, b) for j, b in enumerate(other.coeffs[:n])
-              if not b.is_exact_zero()]
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.is_exact_zero():
-                continue
+        bs = other.terms
+        for i, a in self.terms:
+            if i >= n:
+                break
             for j, b in bs:
                 if i + j >= n:
                     break
@@ -157,11 +167,11 @@ class TruncSeries:
         e = self.ctx.p ** t
         z = LaurentF.zero(self.ctx)
         out = [z] * self.trunc
-        for j in range(0, self.trunc, e):
-            c = self.coeffs[j // e]
-            if not c.is_exact_zero():
-                cap = c.prec + (e - 1) * c.val_lower_bound()
-                out[j] = c.frob_power(t).truncate(cap)
+        for j, c in self.terms:
+            if j * e >= self.trunc:
+                break
+            cap = c.prec + (e - 1) * c.val_lower_bound()
+            out[j * e] = c.frob_power(t).truncate(cap)
         return TruncSeries(self.ctx, out)
 
     def __pow__(self, n):

@@ -238,23 +238,33 @@ def admissible_heuristic(umap: UmbralMap, x: LaurentF,
 
 
 def flow_coefficient(umap: UmbralMap, x: LaurentF, P: TruncSeries,
-                     h: int) -> LaurentF:
-    """eps_h = sum_{k < M-h} C(k+h, h) a_{k+h} F_k(x), an exact finite sum."""
-    ctx = P.ctx
-    p = ctx.p
-    acc = LaurentF.zero(ctx)
-    for k in range(P.trunc - h):
-        a = P.coeffs[k + h]
-        if a.is_exact_zero():
+                     h: int, window=INF) -> LaurentF:
+    """eps_h = sum_{k < M-h} C(k+h, h) a_{k+h} F_k(x), an exact finite sum,
+    truncated at absolute precision ``window``.
+
+    A finite window skips each term whose bound vlb(a_{k+h}) + vlb(F_k(x))
+    reaches it, as ``umbral_eval`` does; the default INF skips nothing and
+    adds no test per term.
+    """
+    p = P.ctx.p
+    bounded = window != INF
+    acc = LaurentF.zero(P.ctx)
+    for j, a in P.terms:
+        if j < h:
             continue
-        b = binom_mod_p(k + h, h, p)
+        b = binom_mod_p(j, h, p)
         if b == 0:
             continue
-        term = a if b == 1 else a.scale(b)
-        if k:
-            term = term * umap.moment(x, k)
-        acc = acc + term
-    return acc
+        if b != 1:
+            a = a.scale(b)
+        if j > h:
+            fk = umap.moment(x, j - h)
+            if bounded and a.val_lower_bound() + fk.val_lower_bound() \
+                    >= window:
+                continue
+            a = a * fk
+        acc = acc + a
+    return acc.truncate(window)
 
 
 def apply_flow(umap: UmbralMap, x: LaurentF, P: TruncSeries,
@@ -269,26 +279,26 @@ def apply_flow(umap: UmbralMap, x: LaurentF, P: TruncSeries,
                                for h in range(P.trunc)])
 
 
-def umbral_eval(coeffs, umap: UmbralMap, x: LaurentF) -> LaurentF:
-    """eval of sum_m q_m F(x)^m for a finite coefficient list.
+def umbral_eval(Q: TruncSeries, umap: UmbralMap, x: LaurentF,
+                window=INF) -> LaurentF:
+    """eval of sum_m q_m F(x)^m over the coefficient window of Q, truncated
+    at absolute precision ``window``.
 
-    The list is summed in full (a finite sum is exact; stopping early on a
-    valuation window would be unsound when term valuations are not
-    monotone).  Accepts a TruncSeries or any sequence of LaurentF.
+    Every term is visited; none is dropped for being small, since term
+    valuations need not be monotone in m.  A term q_m F_m(x) is skipped,
+    unmultiplied, only when its own bound vlb(q_m) + vlb(F_m(x)) reaches
+    the window.  A product's digits and its precision are all at or past
+    the sum of its factors' valuation bounds, so such a term adds only
+    digits that the truncation drops, and a precision at least the window:
+    the truncated sum is the same (v, codes, prec) with or without it.  With
+    the default INF window this skips only moments that are exact zeros.
     """
-    if isinstance(coeffs, TruncSeries):
-        coeffs = coeffs.coeffs
-    acc = None
-    ctx = umap.ctx
-    for m, c in enumerate(coeffs):
-        if c.is_exact_zero():
-            continue
+    acc = LaurentF.zero(umap.ctx)
+    for m, c in Q.terms:
         if m:
             fm = umap.moment(x, m)
-            if fm.is_exact_zero():
+            if c.val_lower_bound() + fm.val_lower_bound() >= window:
                 continue
-            term = c * fm
-        else:
-            term = c
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else LaurentF.zero(ctx)
+            c = c * fm
+        acc = acc + c
+    return acc.truncate(window)

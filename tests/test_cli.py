@@ -53,7 +53,7 @@ def test_parse_errors(F2):
 
 def test_parse_element_json_file(tmp_path, F2):
     from umbral_flow.laurent import LaurentF
-    x = LaurentF.from_codes(F2, -1, [1, 0, 1], prec=9)
+    x = LaurentF(F2, -1, [1, 0, 1], 9)
     path = tmp_path / "x.json"
     path.write_text(json.dumps(x.to_json()))
     got = parse_element(F2, "@" + str(path))
@@ -109,7 +109,7 @@ def test_cli_flow_apply_admissible(capsys, tmp_path, cc2):
     series_path = tmp_path / "p.json"
     series_path.write_text(json.dumps(P.to_json()))
     x_path = tmp_path / "x.json"
-    x = LaurentF.from_codes(cc2.field, 1, [1, 1], prec=32)
+    x = LaurentF(cc2.field, 1, [1, 1], 32)
     x_path.write_text(json.dumps(x.to_json()))
     rc = main(["--trunc", "8", "flow", "apply", "--map", "twisted",
                "--x", "@" + str(x_path), "--series", str(series_path)])
@@ -179,12 +179,15 @@ _BEYOND_F2 = {
 }
 
 
-@pytest.mark.parametrize("claim", ["duality", "geometric", "example57",
-                                   "iso-roundtrip"])
-@pytest.mark.parametrize("tag", sorted(_BEYOND_F2))
+@pytest.mark.parametrize("tag,claim", [
+    (tag, claim) for tag in sorted(_BEYOND_F2)
+    for claim in ("duality", "example57", "geometric", "iso-roundtrip")
+] + [("q3_t8", "dual-binomial")])
 def test_cli_verify_report_bytes_beyond_f2(capsys, monkeypatch, tag, claim):
     # the dual-map claims over F_3 and F_4, where p-power indexing and the
-    # d > 1 interleave differ from F_2; saved reports, compared byte for byte
+    # d > 1 interleave differ from F_2; saved reports, compared byte for byte.
+    # dual-binomial over F_4 does not finish in test time, so only its F_3
+    # report is frozen.
     monkeypatch.delenv("UMBRAL_FLOW_CAP", raising=False)
     expected = (Path(__file__).parent / "data" /
                 f"verify_{claim}_{tag}.json").read_text()

@@ -20,8 +20,23 @@ from umbral_flow.errors import (
 )
 from umbral_flow.fq import PolyA
 from umbral_flow.laurent import INF, LaurentF, agreement_valuation
-from umbral_flow.series import AdditiveSeries, TruncSeries, plen, series_compose
-from umbral_flow.umbral import AdditiveMap, GeometricMap, IdentityFn, NaiveMap, TwistedMap
+from umbral_flow.series import (
+    AdditiveSeries,
+    TruncSeries,
+    binom_mod_p,
+    plen,
+    series_compose,
+)
+from umbral_flow.umbral import (
+    AdditiveMap,
+    GeometricMap,
+    IdentityFn,
+    NaiveMap,
+    TwistedMap,
+    apply_flow,
+    flow_coefficient,
+    umbral_eval,
+)
 from umbral_flow.verify import ec_generator, ec_iso, ex58_iso
 
 N = 48
@@ -42,14 +57,14 @@ def _rand_series(ctx, rng, trunc=M, prec=N, v_lo=0):
 
 
 def test_iso_requires_generator(F2):
-    s = LaurentF.t_power(F2, -1)  # valuation 1: not a unit
+    s = LaurentF(F2, 1, [1], INF)  # valuation 1: not a unit
     with pytest.raises(NotAGeneratorError):
         AdditiveIso(AdditiveSeries(F2, [s]))
 
 
 def test_apply_iso_scaling(F3):
     # generator gamma*T scales coefficient j by gamma^j
-    gamma = LaurentF.from_codes(F3, 0, [2], prec=INF)
+    gamma = LaurentF(F3, 0, [2], INF)
     iso = AdditiveIso(AdditiveSeries.linear(gamma))
     rng = random.Random(1)
     P = _rand_series(F3, rng)
@@ -130,6 +145,112 @@ def test_apply_iso_needs_generator_in_window(F2):
     iso = AdditiveIso(AdditiveSeries(F2, [one] * 4))
     with pytest.raises(TruncationMismatchError):
         iso.apply(TruncSeries.monomial(F2, 1, 8))
+
+
+def _full_eval(R, umap, x):
+    """sum_m R[m] F_m(x) over every coefficient, nothing skipped."""
+    acc = LaurentF.zero(R.ctx)
+    for m, c in enumerate(R.coeffs):
+        acc = acc + (c * umap.moment(x, m) if m else c)
+    return acc
+
+
+def _full_flow_coefficient(umap, x, P, h):
+    """sum_k C(k+h, h) a_(k+h) F_k(x), skipping only exactly-zero terms."""
+    acc = LaurentF.zero(P.ctx)
+    for k in range(P.trunc - h):
+        a = P.coeffs[k + h]
+        b = binom_mod_p(k + h, h, P.ctx.p)
+        if b and not a.is_exact_zero():
+            a = a.scale(b)
+            acc = acc + (a * umap.moment(x, k) if k else a)
+    return acc
+
+
+def _state(x):
+    return x.v, x.codes, x.prec
+
+
+@pytest.mark.parametrize("cc_name", ["cc2", "cc3", "cc4"])
+def test_windowed_umbral_eval_matches_truncated_sum(cc_name, request):
+    # skipping terms bounded at or past the window changes no digit and no
+    # precision of the truncated sum, whatever the map or the point
+    cctx = request.getfixturevalue(cc_name)
+    ctx = cctx.field
+    rng = random.Random(31)
+    far = LaurentF(ctx, 200, [1], INF)  # every term bounded past the window
+    bump = LaurentF(ctx, -3, [rng.randrange(1, ctx.q)] * 5, 30)
+    maps = [AdditiveMap(cctx, N), TwistedMap(cctx, N),
+            PerturbedMap(AdditiveMap(cctx, N), 2, bump)]
+    skipped = kept = 0
+    for iso in _test_isos(cctx, rng, M):
+        for x in (_unit_x(ctx, rng), LaurentF.from_poly(PolyA.t(ctx)), far):
+            for umap in maps:
+                for window in (24, 48):
+                    for k in (1, 2, 3, 5):
+                        R = iso.hinv_power(k, 40)
+                        got = umbral_eval(R, umap, x, window=window)
+                        want = _full_eval(R, umap, x).truncate(window)
+                        assert _state(got) == _state(want), (k, window)
+                        cut = [c.val_lower_bound() +
+                               umap.moment(x, m).val_lower_bound() >= window
+                               for m, c in R.terms if m]
+                        if x is far and umap is maps[0]:
+                            assert all(cut)
+                        skipped += sum(cut)
+                        kept += len(cut) - sum(cut)
+    assert skipped and kept
+
+
+@pytest.mark.parametrize("cc_name", ["cc2", "cc3", "cc4"])
+def test_windowed_dual_moment_matches_truncated_sum(cc_name, request):
+    cctx = request.getfixturevalue(cc_name)
+    rng = random.Random(32)
+    for iso in _test_isos(cctx, rng, M):
+        x = _unit_x(cctx.field, rng)
+        inner = AdditiveMap(cctx, N)
+        dual = DualMap(inner, iso, prec=N, eval_len=40)
+        for k in range(1, 12):
+            want = _full_eval(iso.hinv_power(k, 40), inner, x).truncate(40)
+            assert _state(dual.moment(x, k)) == _state(want), k
+
+
+@pytest.mark.parametrize("cc_name", ["cc2", "cc3", "cc4"])
+def test_windowed_flow_coefficient_keeps_agreement(cc_name, request):
+    # the duality diagram reads flow_coefficient only through
+    # vlb(lhs_h - rhs_h); with window = lhs_h.prec that value is the full
+    # sum's, for a finite-precision lhs (the diagram's own, and cut shorter
+    # so that more term bounds fall next to the window) and an exact one
+    cctx = request.getfixturevalue(cc_name)
+    ctx = cctx.field
+    rng = random.Random(33)
+    inner = AdditiveMap(cctx, N)
+    basis = 4
+    finite = 0
+    for iso in _test_isos(cctx, rng, M):
+        x = _unit_x(ctx, rng)
+        base = DualMap(inner, iso, prec=N)
+        big = max(iso.degree_bound(basis - 1) + 1, M)
+        for dual in (base, PerturbedMap(base, 3, LaurentF.one(ctx))):
+            for j in range(basis):
+                lhs = iso.apply(apply_flow(
+                    inner, x, TruncSeries.monomial(ctx, j, M),
+                    require_admissible=False))
+                Q = iso.gen_power(j, big)
+                for h in range(M):
+                    full = _full_flow_coefficient(dual, x, Q, h)
+                    for lhs_h in (lhs.coeffs[h], LaurentF.one(ctx),
+                                  *(lhs.coeffs[h].truncate(w)
+                                    for w in (6, 12, 20, 30))):
+                        got = flow_coefficient(dual, x, Q, h,
+                                               window=lhs_h.prec)
+                        assert ((lhs_h - got).val_lower_bound() ==
+                                (lhs_h - full).val_lower_bound()), (j, h)
+                        finite += lhs_h.prec != INF
+                    # no window: the full sum itself
+                    assert _state(flow_coefficient(dual, x, Q, h)) == \
+                        _state(full)
+    assert finite
 
 
 def test_dual_moment_k0(cc2):
@@ -277,8 +398,8 @@ def test_dual_binomial_preserved(cc2):
 
 
 def test_compose_isos_scalars(F3):
-    g = LaurentF.from_codes(F3, 0, [2], prec=INF)
-    d = LaurentF.from_codes(F3, 0, [2], prec=INF)
+    g = LaurentF(F3, 0, [2], INF)
+    d = LaurentF(F3, 0, [2], INF)
     a = AdditiveIso(AdditiveSeries.linear(g))
     b = AdditiveIso(AdditiveSeries.linear(d))
     c = compose_isos(a, b)
@@ -293,7 +414,7 @@ def test_compose_isos_transitivity_on_duals(cc2):
     # including for non-commuting generators
     ctx = cc2.field
     one = LaurentF.one(ctx)
-    s = LaurentF.t_power(ctx, -1)
+    s = LaurentF(ctx, 1, [1], INF)
     iso_a = AdditiveIso(AdditiveSeries(ctx, [one, one]))
     iso_b = AdditiveIso(AdditiveSeries(ctx, [one, s]))
     iso_c = compose_isos(iso_a, iso_b)
@@ -310,7 +431,7 @@ def test_compose_isos_transitivity_on_duals(cc2):
 def test_dual_of_dual_restores_moments(cc2):
     ctx = cc2.field
     one = LaurentF.one(ctx)
-    s = LaurentF.t_power(ctx, -1)
+    s = LaurentF(ctx, 1, [1], INF)
     iso = AdditiveIso(AdditiveSeries(ctx, [one, s, one]))
     back = iso.inverse_iso(length=7)  # p^7 = 128 >= eval range
     S = AdditiveMap(cc2, N)
