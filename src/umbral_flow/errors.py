@@ -9,10 +9,6 @@ class ZeroInverseError(UmbralFlowError):
     """Inversion of zero (or of a value that is zero at working precision)."""
 
 
-class DivisionByZeroError(UmbralFlowError):
-    """Polynomial division by the zero polynomial."""
-
-
 class EnumerationCapExceededError(UmbralFlowError):
     """An exhaustive enumeration would exceed the configured cap."""
 

@@ -35,11 +35,7 @@ import array
 import itertools
 import sys
 
-from .errors import (
-    DivisionByZeroError,
-    EnumerationCapExceededError,
-    ZeroInverseError,
-)
+from .errors import EnumerationCapExceededError, ZeroInverseError
 
 NEG_INF = float("-inf")
 
@@ -208,10 +204,12 @@ class FieldCtx:
         # (2d-1 digits base p) fit one byte: _digit[k] maps a code to its
         # k-th base-p digit, _read[k] a slot byte to (byte mod p) * p^k, and
         # _fold the folded digits sum_k e_k p^k to the code of sum e_k u^k
-        # mod f(u).  None when p^(2d-1) > 256: the table path serves those.
+        # mod f(u).  ``packs`` says whether the field has them; they are
+        # None when p^(2d-1) > 256, and the table path serves those fields.
         s = 2 * d - 1
         self._digit = self._read = self._fold = None
-        if p ** s <= 256:
+        self.packs = p ** s <= 256
+        if self.packs:
             self._digit = [bytes(c // p ** k % p for c in range(256))
                            for k in range(d)]
             self._read = [bytes(b % p * p ** k for b in range(256))
@@ -302,7 +300,7 @@ class FieldCtx:
         """Cauchy product of two code vectors."""
         if not xs or not ys:
             return b""
-        if self._read is not None and len(xs) * len(ys) >= _PACK_MIN_OPS:
+        if self.packs and len(xs) * len(ys) >= _PACK_MIN_OPS:
             # no slot may overflow: each output digit sums at most
             # min(len) * d products of two digits, each <= (p-1)^2
             bound = min(len(xs), len(ys)) * self.d * (self.p - 1) ** 2
@@ -423,9 +421,6 @@ class FqElem:
     def __mul__(self, other):
         return FqElem(self.ctx, self.ctx.mul_c(self.code, other.code))
 
-    def __truediv__(self, other):
-        return FqElem(self.ctx, self.ctx.mul_c(self.code, self.ctx.inv_c(other.code)))
-
     def __pow__(self, n):
         return FqElem(self.ctx, self.ctx.pow_c(self.code, n))
 
@@ -501,9 +496,6 @@ class PolyA:
     def is_zero(self):
         return not self.codes
 
-    def is_monic(self):
-        return bool(self.codes) and self.codes[-1] == 1
-
     def coeff(self, i):
         code = self.codes[i] if 0 <= i < len(self.codes) else 0
         return FqElem(self.ctx, code)
@@ -533,28 +525,6 @@ class PolyA:
             b = b * b
             n >>= 1
         return r
-
-    def divrem(self, other):
-        """(quotient, remainder) with deg(remainder) < deg(other)."""
-        if other.is_zero():
-            raise DivisionByZeroError("division by the zero polynomial")
-        ctx = self.ctx
-        rem = bytearray(self.codes)
-        db = len(other.codes) - 1
-        if len(rem) - 1 < db:
-            return PolyA.zero(ctx), self
-        lead_inv = ctx.inv_c(other.codes[-1])
-        quot = bytearray(len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            f = ctx.mul_c(c, lead_inv)
-            quot[i - db] = f
-            for j, bc in enumerate(other.codes):
-                if bc:
-                    rem[i - db + j] = ctx.sub_c(rem[i - db + j], ctx.mul_c(f, bc))
-        return PolyA(ctx, quot), PolyA(ctx, rem)
 
     def evaluate(self, x: FqElem) -> FqElem:
         acc = 0

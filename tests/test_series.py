@@ -10,7 +10,8 @@ from umbral_flow.errors import (
     NotAGeneratorError,
     TruncationMismatchError,
 )
-from umbral_flow.fq import PolyA, field
+from umbral_flow import series
+from umbral_flow.fq import FieldCtx, PolyA, field
 from umbral_flow.laurent import INF, LaurentF
 from umbral_flow.series import (
     AdditiveSeries,
@@ -107,8 +108,8 @@ def test_taylor_shift_homomorphism(ctx_name, request):
         c = LaurentF(ctx, 1, [rng.randrange(1, ctx.q)] +
                      [rng.randrange(ctx.q) for _ in range(6)], 48)
         c2 = LaurentF(ctx, 2, [rng.randrange(1, ctx.q)], 48)
-        lhs = taylor_shift(P * Q, c)
-        rhs = taylor_shift(P, c) * taylor_shift(Q, c)
+        lhs = taylor_shift(P._mul_loop(Q), c)
+        rhs = taylor_shift(P, c)._mul_loop(taylor_shift(Q, c))
         assert series_agreement_valuation(lhs, rhs) >= 40
         R = _rand_series(ctx, rng)
         lhs2 = taylor_shift(taylor_shift(R, c), c2)
@@ -135,10 +136,11 @@ def test_series_pow_monomial(F2):
 
 
 def _product_power(P, n):
-    """P^n by n - 1 plain series products: the reference for powers."""
+    """P^n by n - 1 schoolbook series products: the reference for powers,
+    kept off the packed path that ``**`` itself may take."""
     r = P
     for _ in range(n - 1):
-        r = r * P
+        r = r._mul_loop(P)
     return r
 
 
@@ -182,6 +184,145 @@ def test_series_pow_digits_match_products(ctx_name, request, assert_refines):
     assert P ** 0 == TruncSeries.monomial(ctx, 0, M)
     for n in range(1, 14):
         assert_refines(P ** n, _product_power(P, n))
+
+
+# -- packed products against the schoolbook loop ------------------------------
+# The fields whose convolution packs (p^(2d-1) <= 256).  ``convolve`` gives a
+# packed vector one-byte slots while min(len) * d * (p-1)^2 < 256.
+_PACK_FIELDS = {
+    "F2": (2, 1, None),
+    "F3": (3, 1, None),
+    "F4": (2, 2, (1, 1, 1)),
+    "F8": (2, 3, (1, 1, 0, 1)),
+    "F9": (3, 2, (1, 0, 1)),
+}
+
+
+def _one_byte_edge(ctx):
+    return 255 // (ctx.d * (ctx.p - 1) ** 2)
+
+
+@st.composite
+def _laurent(draw, ctx, width):
+    kind = draw(st.sampled_from(["exact zero", "zero at prec", "exact",
+                                 "finite"]))
+    if kind == "exact zero":
+        return LaurentF.zero(ctx)
+    v = draw(st.integers(-6, 6))
+    if kind == "zero at prec":
+        return LaurentF.zero_at(ctx, v)
+    codes = draw(st.lists(st.integers(0, ctx.q - 1), min_size=1,
+                          max_size=width))
+    # a finite precision may cut the stored codes
+    prec = INF if kind == "exact" else v + draw(st.integers(0, width + 3))
+    return LaurentF(ctx, v, codes, prec)
+
+
+@st.composite
+def _product_case(draw):
+    ctx = field(*_PACK_FIELDS[draw(st.sampled_from(sorted(_PACK_FIELDS)))])
+    width = draw(st.sampled_from([3, 12, 40]))
+
+    def series():
+        n = draw(st.integers(0, 10))
+        return TruncSeries(ctx, [draw(_laurent(ctx, width))
+                                 for _ in range(n)])
+
+    a, b = series(), series()
+    if a.trunc >= 2 and b.trunc >= 2 and draw(st.booleans()):
+        # b = u * (a_1, -a_0, ...): coefficient 1 of a * b cancels, to an
+        # exact zero or to a zero at precision
+        u = draw(_laurent(ctx, width))
+        b = TruncSeries(ctx, (a.coeffs[1] * u, -(a.coeffs[0] * u))
+                        + b.coeffs[2:])
+    return a, b
+
+
+@given(_product_case())
+@settings(max_examples=300, deadline=None)
+def test_packed_product_matches_loop(case):
+    a, b = case
+    ref = a._mul_loop(b)
+    assert a._mul_packed(b) == ref
+    assert a * b == ref
+
+
+def _span_codes(ctx, rng, span):
+    """A random code vector of length span with nonzero ends."""
+    if span == 1:
+        return [rng.randrange(1, ctx.q)]
+    return [rng.randrange(1, ctx.q)] + \
+        [rng.randrange(ctx.q) for _ in range(span - 2)] + [1]
+
+
+@pytest.mark.parametrize("name", sorted(_PACK_FIELDS))
+def test_packed_product_slot_widths(name, monkeypatch):
+    # a = x_0 + x_1 T and b = y_0 + y_1 T with codes of length L pack to
+    # 3L - 1 codes each; L is chosen on each side of the longest packed
+    # vector that ``convolve`` still gives one-byte slots
+    ctx = field(*_PACK_FIELDS[name])
+    edge = _one_byte_edge(ctx)
+    rng = random.Random(11)
+    widths = []
+    packed = FieldCtx._convolve_packed
+
+    def spy(self, xs, ys, nb):
+        widths.append((min(len(xs), len(ys)), nb))
+        return packed(self, xs, ys, nb)
+
+    monkeypatch.setattr(FieldCtx, "_convolve_packed", spy)
+    for L in ((edge + 1) // 3, (edge + 1) // 3 + 1):
+        a, b = (TruncSeries(ctx, [LaurentF(ctx, 0, _span_codes(ctx, rng, L),
+                                           INF) for _ in range(2)])
+                for _ in range(2))
+        del widths[:]
+        got = a._mul_packed(b)
+        assert widths[0] == (3 * L - 1, 1 if 3 * L - 1 <= edge else 2)
+        assert got == a._mul_loop(b)
+
+
+def test_series_mul_dispatch(monkeypatch):
+    # a dense product takes the packed path and a sparse one the loop, with
+    # the switch exactly at _PACK_SLOTS_PER_PAIR slots per term pair; a
+    # field whose convolution does not pack (F_32: 2^9 > 256) never packs
+    def refuse(path):
+        def mul(self, other):
+            raise AssertionError(path)
+        return mul
+
+    rng = random.Random(5)
+
+    def dense(ctx, span):
+        return TruncSeries(ctx, [
+            LaurentF(ctx, rng.randint(-3, 3), _span_codes(ctx, rng, span), 50)
+            for _ in range(16)])
+
+    F2 = field(2)
+    zero = LaurentF.zero(F2)
+    sparse_b = TruncSeries(F2, [
+        LaurentF(F2, rng.randint(-3, 3), _span_codes(F2, rng, 9), 50)
+        if j % 20 == 0 else zero for j in range(80)])
+    sparse_a = TruncSeries.monomial(
+        F2, 0, 80, LaurentF(F2, 0, _span_codes(F2, rng, 30), 50))
+    # window 2 and three term pairs: a one-code a_j against a b_0 of span W
+    # gives block width W, so the widest block that packs is 3 * threshold
+    # // 2
+    top = 3 * series._PACK_SLOTS_PER_PAIR // 2
+    one = LaurentF.one(F2)
+    edge_a = TruncSeries(F2, [one, one])
+
+    def edge_b(span):
+        return TruncSeries(F2, [LaurentF(F2, 0, [1] * span, INF), one])
+
+    F32 = field(2, 5, (1, 0, 1, 0, 0, 1))
+    packs = [(dense(F2, 8), dense(F2, 8)), (edge_a, edge_b(top))]
+    loops = [(sparse_a, sparse_b), (edge_a, edge_b(top + 1)),
+             (dense(F32, 4), dense(F32, 4))]
+    for path, cases in (("_mul_loop", packs), ("_mul_packed", loops)):
+        expect = [a._mul_loop(b) for a, b in cases]
+        with monkeypatch.context() as m:
+            m.setattr(TruncSeries, path, refuse(path))
+            assert [a * b for a, b in cases] == expect
 
 
 def test_compose_example(F2):
