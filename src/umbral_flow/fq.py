@@ -17,8 +17,8 @@ Code vectors are ``bytes``, one code per byte, lowest index first, and the
 * products (``convolve``) go through one big-int multiply (Kronecker
   substitution) for every field with p^(2d-1) <= 256: the prime fields
   F_p with p < 256, and F_4, F_8, F_16, F_9, F_27 and F_25.  Each code's
-  base-p digits get byte slots wide enough that no slot overflows, and the
-  unreduced product digits of one coefficient fold into one byte that a
+  base-p digits get byte slots wide enough that no slot overflows, sized
+  from the operands' counts of non-zero codes, and the unreduced product digits of one coefficient fold into one byte that a
   256-entry table reduces mod f(u).  Short products and larger fields take
   the per-coefficient table loop, the reference for the packed path.
 
@@ -302,8 +302,14 @@ class FieldCtx:
             return b""
         if self.packs and len(xs) * len(ys) >= _PACK_MIN_OPS:
             # no slot may overflow: each output digit sums at most
-            # min(len) * d products of two digits, each <= (p-1)^2
-            bound = min(len(xs), len(ys)) * self.d * (self.p - 1) ** 2
+            # min(nnz) * d products of two digits, each <= (p-1)^2, with
+            # nnz an operand's count of non-zero codes; the counts are
+            # taken only when min(len) does not already give one byte
+            top = self.d * (self.p - 1) ** 2
+            bound = min(len(xs), len(ys)) * top
+            if bound > 255:
+                bound = min(len(xs) - xs.count(0), len(ys) - ys.count(0)) \
+                    * top
             for nb in _SLOT_FMT:
                 if bound < 1 << (8 * nb):
                     return self._convolve_packed(xs, ys, nb)

@@ -11,6 +11,17 @@ first one this provably coincides with a Taylor shift, which the test suites
 check against as an independent oracle (taylor_shift never goes through
 moments).
 
+``apply_flow`` sums the whole window at once as sum_j a_j row_j, with
+row_j = sum_h C(j, h) F_(j-h)(x) X^h over the h whose C(j, h) is not
+divisible by p.  Those (h, C(j, h) mod p) pairs come from Lucas's theorem,
+one cached table per window and p.  Over a field whose convolution packs,
+row_j is one code vector with block h at offset h*W, each a_j multiplies
+its row in one ``FieldCtx.convolve`` call, and every output precision is a
+min over the same pairs, which is integer work.  ``flow_coefficient`` is
+the per-coefficient loop: the reference for the packed sum, the path over
+fields that do not pack, and the windowed single reads of the duality
+checks.
+
 Admissibility (F_k(x) -> 0) is only semi-decidable at finite precision, so
 the heuristic verdict is labeled "apparently"; the maps with an exact rule
 (powers of a first moment: |F_1(x)| < 1; twisted: everywhere) bypass the
@@ -20,6 +31,7 @@ window scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .carlitz import CarlitzCtx
 from .errors import PreconditionFailedError
@@ -240,11 +252,14 @@ def admissible_heuristic(umap: UmbralMap, x: LaurentF,
 def flow_coefficient(umap: UmbralMap, x: LaurentF, P: TruncSeries,
                      h: int, window=INF) -> LaurentF:
     """eps_h = sum_{k < M-h} C(k+h, h) a_{k+h} F_k(x), an exact finite sum,
-    truncated at absolute precision ``window``.
+    truncated at absolute precision ``window``: one Laurent product and one
+    sum per term.
 
-    A finite window skips each term whose bound vlb(a_{k+h}) + vlb(F_k(x))
-    reaches it, as ``umbral_eval`` does; the default INF skips nothing and
-    adds no test per term.
+    This loop is the reference for ``apply_flow``'s packed sum and the path
+    over fields that do not pack.  The duality checks call it directly for
+    the single coefficients they read.  A finite window skips each term
+    whose bound vlb(a_{k+h}) + vlb(F_k(x)) reaches it, as ``umbral_eval``
+    does; the default INF skips nothing and adds no test per term.
     """
     p = P.ctx.p
     bounded = window != INF
@@ -267,16 +282,84 @@ def flow_coefficient(umap: UmbralMap, x: LaurentF, P: TruncSeries,
     return acc.truncate(window)
 
 
+@lru_cache(maxsize=None)
+def _lucas_rows(n, p):
+    """For each j < n, the pairs (h, C(j, h) mod p) with h <= j and C(j, h)
+    not divisible by p, h ascending.  By Lucas's theorem these are the h
+    whose base-p digits lie under those of j: 81 pairs for n = 16, p = 2."""
+    return tuple(tuple((h, b) for h in range(j + 1)
+                       if (b := binom_mod_p(j, h, p)))
+                 for j in range(n))
+
+
 def apply_flow(umap: UmbralMap, x: LaurentF, P: TruncSeries,
                require_admissible: bool = True) -> TruncSeries:
-    """Apply the flow operator of ``umap`` at x to P, on P's window."""
+    """Apply the flow operator of ``umap`` at x to P, on P's window.
+
+    Over a field whose convolution packs the window is one packed sum
+    (``_flow_packed``); other fields take ``flow_coefficient`` per
+    coefficient.  Both give every coefficient the same (v, codes, prec)
+    and ask ``umap`` for the same moments.
+    """
     if require_admissible:
         verdict = admissible_heuristic(umap, x)
         if not verdict.apparently_admissible:
             raise PreconditionFailedError(
                 f"x not apparently admissible for {umap.name}: {verdict}")
+    if P.ctx.packs:
+        return _flow_packed(umap, x, P)
     return TruncSeries(P.ctx, [flow_coefficient(umap, x, P, h)
                                for h in range(P.trunc)])
+
+
+def _flow_packed(umap, x, P):
+    # (flow P) = sum_j a_j row_j, row_j = sum_h C(j, h) F_(j-h)(x) X^h over
+    # the Lucas pairs of j.  Block h of row_j holds the codes of
+    # C(j, h) F_(j-h) at offset h*W + (v_F - v_Fmin), with W the digit span
+    # of the coded a_j plus that of the moments they meet, less one, so
+    # that one convolution by a_j's codes keeps every block apart.  The
+    # loop truncates each sum at the least precision of its terms, so block
+    # h is cut at prec_h, the min over pairs (j, h) of
+    # min(prec_a + vlb_F, prec_F + vlb_a); F_0 = 1 is exact.
+    ctx, n = P.ctx, P.trunc
+    rows = _lucas_rows(n, ctx.p)
+    moments = {0: LaurentF.one(ctx)}
+    precs = [INF] * n
+    coded = []
+    # the digit span of the moments that coded a_j meet, F_0 = 1 among them
+    f_lo, f_hi = 0, 1
+    for j, a in P.terms:
+        pa, va = a.prec, a.val_lower_bound()
+        if a.codes:
+            coded.append((j, a))
+        for h, _ in rows[j]:
+            f = moments.get(j - h)
+            if f is None:
+                f = moments[j - h] = umap.moment(x, j - h)
+            ph = min(pa + f.val_lower_bound(), f.prec + va)
+            if ph < precs[h]:
+                precs[h] = ph
+            if a.codes and f.codes:
+                f_lo = min(f_lo, f.v)
+                f_hi = max(f_hi, f.v + len(f.codes))
+    if not coded:
+        return TruncSeries(ctx, [LaurentF(ctx, 0, b"", ph) for ph in precs])
+    a_lo = min(a.v for _, a in coded)
+    a_hi = max(a.v + len(a.codes) for _, a in coded)
+    width = a_hi - a_lo + f_hi - f_lo - 1
+    acc = b""
+    for j, a in coded:
+        row = bytearray(j * width + f_hi - f_lo)
+        for h, b in rows[j]:
+            f = moments[j - h]
+            if f.codes:
+                at = h * width + f.v - f_lo
+                row[at:at + len(f.codes)] = ctx.scale(b, f.codes)
+        acc = ctx.add(acc, ctx.convolve(bytes(row), a.codes), a.v - a_lo)
+    v = a_lo + f_lo
+    return TruncSeries(ctx, [
+        LaurentF(ctx, v, acc[h * width:(h + 1) * width], precs[h])
+        for h in range(n)])
 
 
 def umbral_eval(Q: TruncSeries, umap: UmbralMap, x: LaurentF,

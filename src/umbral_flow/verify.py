@@ -208,6 +208,18 @@ def claim_boundedness(cfg: Config) -> DualityReport:
     return rep
 
 
+def _composition_sum(hasse, n, h):
+    """The sum over the compositions of n into h positive parts of the
+    product of the matching Hasse derivatives; None for an empty sum."""
+    acc = None
+    for parts in _compositions(n, h):
+        prod = hasse[parts[0]]
+        for ij in parts[1:]:
+            prod = prod * hasse[ij]
+        acc = prod if acc is None else acc + prod
+    return acc
+
+
 def claim_power_rule(cfg: Config) -> DualityReport:
     """Hasse derivative of a power of a series, against the expansion into
     products of lower derivatives."""
@@ -224,6 +236,7 @@ def claim_power_rule(cfg: Config) -> DualityReport:
         for k in (2, 3, 4):
             powers[k] = powers[k - 1] * P
         hasse = {j: hasse_derivative(P, j) for j in range(1, 5)}
+        inners = {}  # (n, h) -> _composition_sum, which is free of k
         for k in (2, 3, 4):
             for n in (1, 2, 3, 4):
                 lhs = hasse_derivative(powers[k], n)
@@ -232,12 +245,9 @@ def claim_power_rule(cfg: Config) -> DualityReport:
                     b = binom_mod_p(k, h, ctx.p)
                     if b == 0:
                         continue
-                    inner = None
-                    for parts in _compositions(n, h):
-                        prod = hasse[parts[0]]
-                        for ij in parts[1:]:
-                            prod = prod * hasse[ij]
-                        inner = prod if inner is None else inner + prod
+                    if (n, h) not in inners:
+                        inners[n, h] = _composition_sum(hasse, n, h)
+                    inner = inners[n, h]
                     if inner is None:
                         continue
                     term = inner if k == h else powers[k - h] * inner

@@ -199,8 +199,10 @@ def test_poly_evaluate(F3):
 
 
 # Kronecker-packed convolution against the table path.  The packed path
-# picks the narrowest slot with min(len) * d * (p-1)^2 < 2^(8 * bytes);
-# "edge" below is the longest min(len) that still fits one-byte slots.
+# picks one-byte slots when min(len) * d * (p-1)^2 < 256, and otherwise the
+# narrowest slot with min(nnz) * d * (p-1)^2 < 2^(8 * bytes), nnz an
+# operand's count of non-zero codes; "edge" below is the longest min(len),
+# and the largest min(nnz), that still fits one-byte slots.
 _PACK_FIELDS = {
     "F2": (2, 1, None),
     "F3": (3, 1, None),
@@ -218,7 +220,8 @@ def _one_byte_edge(ctx):
 def _packed_case(draw):
     ctx = field(*_PACK_FIELDS[draw(st.sampled_from(sorted(_PACK_FIELDS)))])
     edge = _one_byte_edge(ctx)
-    kind = draw(st.sampled_from(["random", "sparse", "top", "unit"]))
+    kind = draw(st.sampled_from(["random", "sparse", "top", "gaps",
+                                 "unit"]))
     # "unit": a length-1 side against a side long enough to pack
     m = 1 if kind == "unit" else draw(st.sampled_from([edge, edge + 1]))
     lo = 64 if m == 1 else m  # m * n >= 64 pairs: the packed path
@@ -227,7 +230,7 @@ def _packed_case(draw):
     q = ctx.q
 
     def vec(size):
-        if kind == "top":  # every digit p-1: the largest slot sums
+        if kind in ("top", "gaps"):  # every digit p-1: the largest sums
             return [q - 1] * size
         if kind == "sparse":
             return [rng.randrange(1, q) if rng.random() < 0.1 else 0
@@ -235,6 +238,12 @@ def _packed_case(draw):
         return [rng.randrange(q) for _ in range(size)]
 
     xs, ys = vec(m), vec(n)
+    if kind == "gaps":
+        # zero codes spread through the short side: its length passes the
+        # edge, but it still meets the long all-(p-1) side in m products
+        for _ in range(draw(st.integers(1, m))):
+            xs.insert(rng.randrange(len(xs) + 1), 0)
+        ys += [q - 1] * (len(xs) - m)
     if draw(st.booleans()):
         xs, ys = ys, xs
     return ctx, xs, ys
@@ -249,8 +258,10 @@ def test_convolve_packed_matches_table(case):
 
 def test_convolve_dispatch(monkeypatch):
     # every field with p^(2d-1) <= 256 packs, d > 1 included, with the slot
-    # width switching exactly at the overflow bound; F_32 (2^9 > 256) stays
-    # on the table path
+    # width switching exactly at the overflow bound: at min(len) for
+    # vectors without zero codes, and at min(nnz) for a vector longer than
+    # the edge that has zero codes.  F_32 (2^9 > 256) stays on the table
+    # path
     widths = []
     packed = FieldCtx._convolve_packed
 
@@ -266,9 +277,16 @@ def test_convolve_dispatch(monkeypatch):
     for args in _PACK_FIELDS.values():
         ctx = field(*args)
         edge = _one_byte_edge(ctx)
-        for m in (edge, edge + 1):
-            xs = [rng.randrange(ctx.q) for _ in range(m)]
-            ys = [rng.randrange(ctx.q) for _ in range(edge + 1)]
+        ys = [rng.randrange(1, ctx.q) for _ in range(edge + 1)]
+        nonzero = [[rng.randrange(1, ctx.q) for _ in range(m)]
+                   for m in (edge, edge + 1)]
+        # edge + 1 codes, one of them zero; 4 * edge codes, edge non-zero
+        one_zero = nonzero[1][:]
+        one_zero[rng.randrange(edge + 1)] = 0
+        sparse = [0] * (4 * edge)
+        for i in rng.sample(range(4 * edge), edge):
+            sparse[i] = rng.randrange(1, ctx.q)
+        for xs in (*nonzero, one_zero, sparse):
             cases.append((ctx, xs, ys, ctx._convolve_table(xs, ys)))
     F4 = field(2, 2, (1, 1, 1))
     xs = [rng.randrange(4) for _ in range(64)]
@@ -281,7 +299,7 @@ def test_convolve_dispatch(monkeypatch):
     assert widths == [1]
     for ctx, xs, ys, expect in cases:
         assert ctx.convolve(xs, ys) == expect
-    assert widths[1:] == [1, 2] * len(_PACK_FIELDS)
+    assert widths[1:] == [1, 2, 1, 1] * len(_PACK_FIELDS)
     F32 = field(2, 5, (1, 0, 1, 0, 0, 1))
     with pytest.raises(AssertionError, match="table path"):
         F32.convolve([1] * 64, [1] * 64)

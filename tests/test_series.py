@@ -188,7 +188,9 @@ def test_series_pow_digits_match_products(ctx_name, request, assert_refines):
 
 # -- packed products against the schoolbook loop ------------------------------
 # The fields whose convolution packs (p^(2d-1) <= 256).  ``convolve`` gives a
-# packed vector one-byte slots while min(len) * d * (p-1)^2 < 256.
+# packed vector one-byte slots while min(len) * d * (p-1)^2 < 256, or else
+# while min(nnz) * d * (p-1)^2 < 256, nnz an operand's count of non-zero
+# codes.
 _PACK_FIELDS = {
     "F2": (2, 1, None),
     "F3": (3, 1, None),
@@ -257,9 +259,12 @@ def _span_codes(ctx, rng, span):
 
 @pytest.mark.parametrize("name", sorted(_PACK_FIELDS))
 def test_packed_product_slot_widths(name, monkeypatch):
-    # a = x_0 + x_1 T and b = y_0 + y_1 T with codes of length L pack to
-    # 3L - 1 codes each; L is chosen on each side of the longest packed
-    # vector that ``convolve`` still gives one-byte slots
+    # a = x_0 + x_1 T and b = y_0 + y_1 T with L non-zero codes each pack
+    # to 3L - 1 codes, 2L of them non-zero: the L - 1 codes between the
+    # blocks are zero.  L is chosen on each side of the longest packed
+    # vector, and then of the most non-zero codes, that ``convolve`` still
+    # gives one-byte slots; a packed vector longer than the edge with few
+    # enough non-zero codes keeps one-byte slots
     ctx = field(*_PACK_FIELDS[name])
     edge = _one_byte_edge(ctx)
     rng = random.Random(11)
@@ -271,13 +276,14 @@ def test_packed_product_slot_widths(name, monkeypatch):
         return packed(self, xs, ys, nb)
 
     monkeypatch.setattr(FieldCtx, "_convolve_packed", spy)
-    for L in ((edge + 1) // 3, (edge + 1) // 3 + 1):
-        a, b = (TruncSeries(ctx, [LaurentF(ctx, 0, _span_codes(ctx, rng, L),
-                                           INF) for _ in range(2)])
-                for _ in range(2))
+    for L, nb in (((edge + 1) // 3, 1), ((edge + 1) // 3 + 1, 1),
+                  (edge // 2, 1), (edge // 2 + 1, 2)):
+        a, b = (TruncSeries(ctx, [
+            LaurentF(ctx, 0, [rng.randrange(1, ctx.q) for _ in range(L)],
+                     INF) for _ in range(2)]) for _ in range(2))
         del widths[:]
         got = a._mul_packed(b)
-        assert widths[0] == (3 * L - 1, 1 if 3 * L - 1 <= edge else 2)
+        assert widths[0] == (3 * L - 1, nb)
         assert got == a._mul_loop(b)
 
 

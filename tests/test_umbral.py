@@ -1,11 +1,18 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from umbral_flow import umbral
+from umbral_flow.carlitz import CarlitzCtx
+from umbral_flow.duality import AdditiveIso, DualMap, PerturbedMap
 from umbral_flow.errors import PreconditionFailedError
-from umbral_flow.fq import PolyA
+from umbral_flow.fq import PolyA, field
 from umbral_flow.laurent import INF, LaurentF, agreement_valuation
 from umbral_flow.series import (
+    AdditiveSeries,
     TruncSeries,
     binom_mod_p,
     series_agreement_valuation,
@@ -306,3 +313,138 @@ def test_umbral_eval_power_collapses_for_geometric(cc2):
         lhs = umbral_eval(Qpad ** k, G, x)
         rhs = umbral_eval(Q, G, x) ** k
         assert agreement_valuation(lhs, rhs) >= N
+
+
+# -- the packed flow sum against the per-coefficient loop ----------------------
+# Every field here packs (p^(2d-1) <= 256); odd p gives binomial weights
+# C(j, h) other than 1.
+_FLOW_FIELDS = {
+    "F2": (2, 1, None),
+    "F3": (3, 1, None),
+    "F4": (2, 2, (1, 1, 1)),
+    "F5": (5, 1, None),
+    "F8": (2, 3, (1, 1, 0, 1)),
+    "F9": (3, 2, (1, 0, 1)),
+}
+
+
+@lru_cache(maxsize=None)
+def _carlitz(name):
+    return CarlitzCtx(field(*_FLOW_FIELDS[name]))
+
+
+def _loop_flow(umap, x, P):
+    return TruncSeries(P.ctx, [flow_coefficient(umap, x, P, h)
+                               for h in range(P.trunc)])
+
+
+def _states(P):
+    return [(c.v, c.codes, c.prec) for c in P.coeffs]
+
+
+@st.composite
+def _coefficient(draw, ctx, width=12):
+    kind = draw(st.sampled_from(["exact zero", "zero at prec", "exact",
+                                 "finite"]))
+    if kind == "exact zero":
+        return LaurentF.zero(ctx)
+    v = draw(st.integers(-4, 6))
+    if kind == "zero at prec":
+        return LaurentF.zero_at(ctx, v)
+    codes = draw(st.lists(st.integers(0, ctx.q - 1), min_size=1,
+                          max_size=width))
+    # a finite precision may cut the stored codes
+    prec = INF if kind == "exact" else v + draw(st.integers(0, width + 3))
+    return LaurentF(ctx, v, codes, prec)
+
+
+@st.composite
+def _flow_case(draw):
+    cctx = _carlitz(draw(st.sampled_from(sorted(_FLOW_FIELDS))))
+    ctx = cctx.field
+    n = draw(st.sampled_from([0, 1, 5, 16, 17]))
+    P = TruncSeries(ctx, [draw(_coefficient(ctx)) for _ in range(n)])
+    kind = draw(st.sampled_from(["additive", "twisted", "dual",
+                                 "perturbed"]))
+    if kind == "twisted":
+        # moments of negative valuation at a polynomial point
+        x = LaurentF.from_poly(PolyA(ctx, draw(st.lists(
+            st.integers(0, ctx.q - 1), max_size=3))))
+        return TwistedMap(cctx, 32), x, P
+    x = draw(_coefficient(ctx, width=6))
+    additive = AdditiveMap(cctx, 32)
+    if kind == "additive":
+        return additive, x, P
+    if kind == "perturbed":
+        bump = draw(_coefficient(ctx, width=6))
+        return PerturbedMap(additive, draw(st.integers(0, 17)), bump), x, P
+    # a short evaluation window: every moment from eval_len on is a zero at
+    # precision, and the evaluated ones may be too
+    eval_len = draw(st.integers(2, 12))
+    unit = LaurentF(ctx, 0, [draw(st.integers(1, ctx.q - 1))], INF)
+    H = AdditiveSeries(ctx, [unit] + [draw(_coefficient(ctx, width=4))
+                                      for _ in range(2)])
+    return DualMap(additive, AdditiveIso(H), prec=32, eval_len=eval_len), \
+        x, P
+
+
+@given(_flow_case())
+@settings(max_examples=200, deadline=None)
+def test_packed_flow_matches_loop(case):
+    umap, x, P = case
+    got = apply_flow(umap, x, P, require_admissible=False)
+    assert _states(got) == _states(_loop_flow(umap, x, P))
+
+
+def test_flow_dispatch(cc2, monkeypatch):
+    # a packing field never calls flow_coefficient, and the packed sum asks
+    # for the same distinct moments as the loop; F_32 (2^9 > 256) takes the
+    # loop, one flow_coefficient call per coefficient
+    rng = random.Random(21)
+    asked = []
+
+    def spy_map(umap):
+        moment = umap.moment
+
+        def spy(x, k):
+            asked.append(k)
+            return moment(x, k)
+        umap.moment = spy
+        return umap
+
+    loop = umbral.flow_coefficient
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flow_coefficient")
+
+    cases = []
+    for cctx in (cc2, _carlitz("F3"), _carlitz("F4")):
+        ctx = cctx.field
+        for P in (_rand_series(ctx, rng, trunc=16),
+                  TruncSeries.monomial(ctx, 5, 16)):
+            x = _unit_x(ctx, rng)
+            del asked[:]
+            want = _loop_flow(spy_map(AdditiveMap(cctx, N)), x, P)
+            cases.append((cctx, x, P, want, set(asked)))
+    with monkeypatch.context() as m:
+        m.setattr(umbral, "flow_coefficient", refuse)
+        for cctx, x, P, want, ks in cases:
+            del asked[:]
+            got = apply_flow(spy_map(AdditiveMap(cctx, N)), x, P,
+                             require_admissible=False)
+            assert got == want
+            assert set(asked) == ks
+
+    F32 = CarlitzCtx(field(2, 5, (1, 0, 1, 0, 0, 1)))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return loop(*args, **kwargs)
+
+    P = _rand_series(F32.field, rng, trunc=6)
+    x = _unit_x(F32.field, rng)
+    want = _loop_flow(AdditiveMap(F32, N), x, P)
+    monkeypatch.setattr(umbral, "flow_coefficient", counted)
+    assert apply_flow(AdditiveMap(F32, N), x, P) == want
+    assert calls == list(range(6))
