@@ -14,13 +14,18 @@ Code vectors are ``bytes``, one code per byte, lowest index first, and the
   bits).  The other fields take a per-coefficient table loop, also the
   reference the XOR path is tested against;
 * neg, scale and Frobenius are one ``translate`` by a 256-byte table each;
-* products (``convolve``) go through one big-int multiply (Kronecker
-  substitution) for every field with p^(2d-1) <= 256: the prime fields
-  F_p with p < 256, and F_4, F_8, F_16, F_9, F_27 and F_25.  Each code's
-  base-p digits get byte slots wide enough that no slot overflows, sized
-  from the operands' counts of non-zero codes, and the unreduced product digits of one coefficient fold into one byte that a
-  256-entry table reduces mod f(u).  Short products and larger fields take
-  the per-coefficient table loop, the reference for the packed path.
+* products (``convolve``) go through Kronecker substitution, big-int
+  multiplies on byte slots, for every field with p^(2d-1) <= 256: the
+  prime fields F_p with p < 256, and F_4, F_8, F_16, F_9, F_27 and F_25.
+  Slots are wide enough that none overflows, sized from the operands'
+  counts of non-zero codes.  For p = 2 each operand splits into d bit
+  planes; the d^2 plane products combine by XOR into 2d-1 product planes,
+  which u^d = sum_(i<d) f_i u^i folds down to d, and one mask reads each
+  slot's low bit.  For odd p each code's base-p digits share one integer,
+  and the unreduced product digits of one coefficient fold into one byte
+  that a 256-entry table reduces mod f(u).  Short products and larger
+  fields take the per-coefficient table loop, the reference for the packed
+  paths.
 
 Polynomials in t carry their coefficients as a code vector, lowest degree
 first, with no trailing zeros.  The degree of the zero polynomial is the
@@ -43,10 +48,12 @@ DEFAULT_ENUM_CAP = 10 ** 6
 
 # Products of fewer coefficient pairs take the table loop.  Measured with
 # bytes inputs, packing wins from about 4 pairs for d = 1 (F_2, F_3: one
-# int.from_bytes per operand) and from 48-64 pairs for d > 1 (F_4, F_8,
-# F_9: digit translates and a fold).  Over the small products recorded in
-# one pass of each benchmark workload, 48 beats 64 on every workload and
-# gives the least total time of the thresholds tried (1 to 64).
+# int.from_bytes per operand), from about 30-40 pairs for F_4 (2 bit planes
+# a side, 4 multiplies) and from about 50-64 for F_8.  Over the products
+# below 128 pairs recorded in one pass of each benchmark workload at seed
+# 1000, lowering the threshold saves at most 4 ms a pass over F_2 but costs
+# F_4 up to 9 ms, and 40-48 give F_4 the least total time of the thresholds
+# tried (1 to 64).
 _PACK_MIN_OPS = 48
 
 # Kronecker slot widths in bytes, narrowest first -> array typecode of an
@@ -202,19 +209,26 @@ class FieldCtx:
 
         # Kronecker-packing tables, for fields whose unreduced products
         # (2d-1 digits base p) fit one byte: _digit[k] maps a code to its
-        # k-th base-p digit, _read[k] a slot byte to (byte mod p) * p^k, and
-        # _fold the folded digits sum_k e_k p^k to the code of sum e_k u^k
-        # mod f(u).  ``packs`` says whether the field has them; they are
-        # None when p^(2d-1) > 256, and the table path serves those fields.
+        # k-th base-p digit, for p = 2 its bit k, the table of bit plane k.
+        # For p = 2, _taps lists the i < d with f_i = 1, so that u^d is the
+        # sum of those u^i.  For odd p, _read[k] maps a slot byte to
+        # (byte mod p) * p^k, and _fold the folded digits sum_k e_k p^k to
+        # the code of sum e_k u^k mod f(u).  ``packs`` says whether the
+        # field has them; they are None when p^(2d-1) > 256, and the table
+        # path serves those fields.
         s = 2 * d - 1
-        self._digit = self._read = self._fold = None
+        self._digit = self._taps = self._read = self._fold = None
         self.packs = p ** s <= 256
         if self.packs:
             self._digit = [bytes(c // p ** k % p for c in range(256))
                            for k in range(d)]
-            self._read = [bytes(b % p * p ** k for b in range(256))
-                          for k in range(s)]
-            self._fold = bytes(reduce_mod_f(dec(m, s)) for m in range(256))
+            if p == 2:
+                self._taps = tuple(i for i in range(d) if self.modulus[i])
+            else:
+                self._read = [bytes(b % p * p ** k for b in range(256))
+                              for k in range(s)]
+                self._fold = bytes(reduce_mod_f(dec(m, s))
+                                   for m in range(256))
 
     # -- element (code) arithmetic ------------------------------------------
 
@@ -301,17 +315,21 @@ class FieldCtx:
         if not xs or not ys:
             return b""
         if self.packs and len(xs) * len(ys) >= _PACK_MIN_OPS:
-            # no slot may overflow: each output digit sums at most
-            # min(nnz) * d products of two digits, each <= (p-1)^2, with
-            # nnz an operand's count of non-zero codes; the counts are
-            # taken only when min(len) does not already give one byte
-            top = self.d * (self.p - 1) ** 2
+            # no slot may overflow: each output slot sums at most min(nnz)
+            # products, with nnz an operand's count of non-zero codes, of
+            # two bits for p = 2 (one bit plane pair per multiply), and of
+            # two digits <= p-1, d pairs per coefficient, for odd p; the
+            # counts are taken only when min(len) does not already give
+            # one byte
+            top = 1 if self.p == 2 else self.d * (self.p - 1) ** 2
             bound = min(len(xs), len(ys)) * top
             if bound > 255:
                 bound = min(len(xs) - xs.count(0), len(ys) - ys.count(0)) \
                     * top
             for nb in _SLOT_FMT:
                 if bound < 1 << (8 * nb):
+                    if self.p == 2:
+                        return self._convolve_planes(xs, ys, nb)
                     return self._convolve_packed(xs, ys, nb)
         return self._convolve_table(xs, ys)
 
@@ -329,13 +347,53 @@ class FieldCtx:
                     out[k] = add[out[k] * q + mul[row + y]]
         return bytes(out)
 
+    def _convolve_planes(self, xs, ys, nb):
+        # p = 2, Kronecker substitution on bit planes: plane k of a vector
+        # holds bit k of coefficient i in slot i of nb bytes.  Plane
+        # products combined by XOR keep each slot's parity, and slots never
+        # carry, so the low bit of slot i of c_m = XOR_{k+l=m} a_k * b_l is
+        # the u^m digit of output coefficient i.  u^d = sum_{taps} u^i
+        # folds planes 2d-2 .. d down, and one mask reads the low bits.
+        d = self.d
+        n = len(xs) + len(ys) - 1
+        if d == 1 and nb == 1:  # F_2 at one-byte slots: codes are the plane
+            return (int.from_bytes(xs, "little") * int.from_bytes(ys, "little")
+                    ).to_bytes(n, "little").translate(self._digit[0])
+
+        def planes(vs):
+            codes = bytes(vs)
+            out = []
+            for tab in self._digit:
+                bits = codes.translate(tab)
+                if nb > 1:
+                    buf = bytearray(len(codes) * nb)
+                    buf[::nb] = bits
+                    bits = buf
+                out.append(int.from_bytes(bits, "little"))
+            return out
+
+        bs = planes(ys)
+        c = [0] * (2 * d - 1)
+        for k, a in enumerate(planes(xs)):
+            for m, b in enumerate(bs, k):
+                c[m] ^= a * b
+        for m in range(2 * d - 2, d - 1, -1):
+            for i in self._taps:
+                c[m - d + i] ^= c[m]
+        mask = int.from_bytes(b"\1".ljust(nb, b"\0") * n, "little")
+        acc = 0
+        for k in range(d):
+            acc |= (c[k] & mask) << k
+        return acc.to_bytes(n * nb, "little")[::nb]
+
     def _convolve_packed(self, xs, ys, nb):
-        # Kronecker substitution: coefficient i's d base-p digits go into
-        # slots i*(2d-1) .. i*(2d-1)+d-1 of nb bytes each, so the digit
-        # products of one output coefficient land in its own 2d-1 slots
-        # without carries.  One big-int multiply in C; then one byte per
-        # slot that is congruent to it mod p, folded with p-adic weights
-        # into one byte per coefficient and reduced mod f(u) by table.
+        # odd p, Kronecker substitution on digits: coefficient i's d base-p
+        # digits go into slots i*(2d-1) .. i*(2d-1)+d-1 of nb bytes each,
+        # so the digit products of one output coefficient land in its own
+        # 2d-1 slots without carries.  One big-int multiply in C; then one
+        # byte per slot that is congruent to it mod p, folded with p-adic
+        # weights into one byte per coefficient and reduced mod f(u) by
+        # table.
         p, s = self.p, 2 * self.d - 1
         n = len(xs) + len(ys) - 1
         step = s * nb
@@ -352,8 +410,6 @@ class FieldCtx:
         raw = (pack(xs) * pack(ys)).to_bytes(n * step, "little")
         if nb == 1:
             low = raw
-        elif p == 2:
-            low = raw[::nb]  # 256 is even: the low byte keeps the parity
         else:
             slots = array.array(_SLOT_FMT[nb], raw)
             if sys.byteorder == "big":

@@ -366,7 +366,7 @@ def claim_dual_binomial(cfg: Config) -> DualityReport:
     rng = _rng(cfg, "binomial-twisted")
     smp = Sampler(cctx.field, rng, target)
     T = TwistedMap(cctx, target, inv_prec_pad=128)
-    iso58 = ex58_iso(cctx, plen(cfg.p, cfg.q ** 5), target + 128)
+    iso58 = ex58_iso(cctx, plen(cfg.q, cfg.q ** 5), target + 128)
     dual = DualMap(T, iso58, prec=target, eval_len=target + 64)
     n_pairs = max(cfg.trials // 10, 1)
     reports = []

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,7 +179,11 @@ def test_cli_verify_all_report_bytes(capsys, monkeypatch):
 _BEYOND_F2 = {
     "q3_t8": ["--p", "3", "--trials", "8"],
     "q4_t4": ["--d", "2", "--modulus", "1", "1", "1", "--trials", "4"],
+    "q8_t2": ["--d", "3", "--modulus", "1", "1", "0", "1", "--trials", "2"],
 }
+
+_FLOW_CLAIMS = ("taylor", "naive-flow", "boundedness", "power-rule",
+                "flow-composition", "binomial-twisted", "example58")
 
 
 @pytest.mark.parametrize("tag,claim", [
@@ -184,10 +191,10 @@ _BEYOND_F2 = {
     for claim in ("duality", "example57", "geometric", "iso-roundtrip")
 ] + [("q3_t8", "dual-binomial")])
 def test_cli_verify_report_bytes_beyond_f2(capsys, monkeypatch, tag, claim):
-    # the dual-map claims over F_3 and F_4, where p-power indexing and the
-    # d > 1 interleave differ from F_2; saved reports, compared byte for byte.
-    # dual-binomial over F_4 does not finish in test time, so only its F_3
-    # report is frozen.
+    # the dual-map claims over F_3, F_4 and F_8, where p-power indexing and
+    # the d > 1 interleave differ from F_2; saved reports, compared byte for
+    # byte.  dual-binomial over F_4 and F_8 exits 2 (ROADMAP item 1), so only
+    # its F_3 report is frozen.
     monkeypatch.delenv("UMBRAL_FLOW_CAP", raising=False)
     expected = (Path(__file__).parent / "data" /
                 f"verify_{claim}_{tag}.json").read_text()
@@ -195,22 +202,41 @@ def test_cli_verify_report_bytes_beyond_f2(capsys, monkeypatch, tag, claim):
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("claim", ["taylor", "naive-flow", "boundedness",
-                                   "power-rule", "flow-composition",
-                                   "binomial-twisted", "example58"])
-@pytest.mark.parametrize("tag", sorted(_BEYOND_F2))
+@pytest.mark.parametrize("tag,claim", [
+    (tag, claim) for tag in ("q3_t8", "q4_t4") for claim in _FLOW_CLAIMS
+] + [("q8_t2", claim) for claim in _FLOW_CLAIMS[:5]])
 def test_cli_verify_flow_report_bytes_beyond_f2(capsys, monkeypatch, tag,
                                                 claim):
-    # the seven flow claims over F_3 and F_4, where convolutions and the D_k
+    # the flow claims over F_3, F_4 and F_8, where convolutions and the D_k
     # products run on d > 1 or odd-p arithmetic; saved reports, compared byte
     # for byte.  binomial-twisted over F_4 is a known failure (exit 1): its
-    # failing report is frozen too.
+    # failing report is frozen too.  Over F_8 binomial-twisted fails as well
+    # (ROADMAP item 1) and example58 takes about 5 s, so neither is frozen
+    # there.
     monkeypatch.delenv("UMBRAL_FLOW_CAP", raising=False)
     expected = (Path(__file__).parent / "data" /
                 f"verify_{claim}_{tag}.json").read_text()
     rc = 1 if (claim, tag) == ("binomial-twisted", "q4_t4") else 0
     assert main(_BEYOND_F2[tag] + ["verify", claim]) == rc
     assert capsys.readouterr().out == expected
+
+
+def test_cli_dual_binomial_f8_ends(tmp_path):
+    # the dual-binomial generator counts q-powers: over F_8 it once counted
+    # p-powers, and Frobenius powers spread the codes p^(d*i) apart until the
+    # run asked for about 2^42 bytes.  The claim must end, with a report or
+    # an error, and never with a traceback
+    argv = _BEYOND_F2["q8_t2"] + ["--prec", "32", "--trunc", "8",
+                                  "verify", "dual-binomial"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(__file__).parents[1] / "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    env.pop("UMBRAL_FLOW_CAP", None)
+    proc = subprocess.run([sys.executable, "-m", "umbral_flow.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("flag,literal", [

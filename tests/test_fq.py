@@ -198,11 +198,14 @@ def test_poly_evaluate(F3):
     assert p.evaluate(FqElem(F3, 2)).code == 1
 
 
-# Kronecker-packed convolution against the table path.  The packed path
-# picks one-byte slots when min(len) * d * (p-1)^2 < 256, and otherwise the
-# narrowest slot with min(nnz) * d * (p-1)^2 < 2^(8 * bytes), nnz an
-# operand's count of non-zero codes; "edge" below is the longest min(len),
-# and the largest min(nnz), that still fits one-byte slots.
+# Kronecker-packed convolution against the table path.  For p = 2 the
+# products run on bit planes, whose slots sum at most min(len) products of
+# two bits, and odd p on digit slots, which sum at most min(len) * d * (p-1)^2
+# products' worth.  One-byte slots hold while that bound stays below 256,
+# and otherwise the narrowest slot that holds the bound recounted with
+# min(nnz), nnz an operand's count of non-zero codes; "edge" below is the
+# longest min(len), and the largest min(nnz), that still fits one-byte
+# slots: 255 for every p = 2 field.
 _PACK_FIELDS = {
     "F2": (2, 1, None),
     "F3": (3, 1, None),
@@ -211,14 +214,26 @@ _PACK_FIELDS = {
     "F9": (3, 2, (1, 0, 1)),
 }
 
+# every p = 2 field that packs (2^(2d-1) <= 256), with each irreducible
+# modulus of F_8 and two of F_16, so that every reduction tap is exercised
+_PLANE_FIELDS = {
+    "F2": (2, 1, None),
+    "F4": (2, 2, (1, 1, 1)),
+    "F8": (2, 3, (1, 1, 0, 1)),
+    "F8b": (2, 3, (1, 0, 1, 1)),
+    "F16": (2, 4, (1, 1, 0, 0, 1)),
+    "F16b": (2, 4, (1, 1, 1, 1, 1)),
+}
+
 
 def _one_byte_edge(ctx):
+    if ctx.p == 2:
+        return 255
     return 255 // (ctx.d * (ctx.p - 1) ** 2)
 
 
 @st.composite
-def _packed_case(draw):
-    ctx = field(*_PACK_FIELDS[draw(st.sampled_from(sorted(_PACK_FIELDS)))])
+def _packed_case(draw, ctx):
     edge = _one_byte_edge(ctx)
     kind = draw(st.sampled_from(["random", "sparse", "top", "gaps",
                                  "unit"]))
@@ -249,33 +264,53 @@ def _packed_case(draw):
     return ctx, xs, ys
 
 
-@given(_packed_case())
+@given(st.sampled_from(sorted(_PACK_FIELDS)).flatmap(
+    lambda name: _packed_case(field(*_PACK_FIELDS[name]))))
 @settings(max_examples=120, deadline=None)
 def test_convolve_packed_matches_table(case):
     ctx, xs, ys = case
     assert ctx.convolve(xs, ys) == ctx._convolve_table(xs, ys)
 
 
-def test_convolve_dispatch(monkeypatch):
-    # every field with p^(2d-1) <= 256 packs, d > 1 included, with the slot
-    # width switching exactly at the overflow bound: at min(len) for
-    # vectors without zero codes, and at min(nnz) for a vector longer than
-    # the edge that has zero codes.  F_32 (2^9 > 256) stays on the table
-    # path
-    widths = []
-    packed = FieldCtx._convolve_packed
+@pytest.mark.parametrize("name", sorted(_PLANE_FIELDS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_convolve_planes_matches_table(name, data):
+    # the bit-plane kernel at every slot width the overflow bound allows,
+    # and ``convolve`` at the one it picks
+    ctx, xs, ys = data.draw(_packed_case(field(*_PLANE_FIELDS[name])))
+    expect = ctx._convolve_table(xs, ys)
+    assert ctx.convolve(xs, ys) == expect
+    nnz = min(len(xs) - xs.count(0), len(ys) - ys.count(0))
+    for nb in (1, 2) if nnz <= _one_byte_edge(ctx) else (2,):
+        assert ctx._convolve_planes(bytes(xs), bytes(ys), nb) == expect
 
-    def spy(self, xs, ys, nb):
-        widths.append(nb)
-        return packed(self, xs, ys, nb)
+
+def _spy_packed(monkeypatch, calls):
+    """Record (path, slot width) of each packed convolution in calls."""
+    for path in ("_convolve_planes", "_convolve_packed"):
+        def spy(self, xs, ys, nb, _path=path, _fn=getattr(FieldCtx, path)):
+            calls.append((_path, nb))
+            return _fn(self, xs, ys, nb)
+        monkeypatch.setattr(FieldCtx, path, spy)
+
+
+def test_convolve_dispatch(monkeypatch):
+    # every field with p^(2d-1) <= 256 packs, d > 1 included, p = 2 on bit
+    # planes and odd p on digit slots, with the slot width switching
+    # exactly at the overflow bound: at min(len) for vectors without zero
+    # codes, and at min(nnz) for a vector longer than the edge that has
+    # zero codes.  F_32 (2^9 > 256) stays on the table path
+    calls = []
 
     def refuse(self, xs, ys):
         raise AssertionError("table path")
 
     rng = random.Random(7)
     cases = []
-    for args in _PACK_FIELDS.values():
-        ctx = field(*args)
+    fields = [field(*args) for args in {**_PACK_FIELDS,
+                                        **_PLANE_FIELDS}.values()]
+    for ctx in fields:
         edge = _one_byte_edge(ctx)
         ys = [rng.randrange(1, ctx.q) for _ in range(edge + 1)]
         nonzero = [[rng.randrange(1, ctx.q) for _ in range(m)]
@@ -293,13 +328,15 @@ def test_convolve_dispatch(monkeypatch):
     ys = [rng.randrange(4) for _ in range(64)]
     expect = F4._convolve_table(xs, ys)
 
-    monkeypatch.setattr(FieldCtx, "_convolve_packed", spy)
+    _spy_packed(monkeypatch, calls)
     monkeypatch.setattr(FieldCtx, "_convolve_table", refuse)
     assert F4.convolve(xs, ys) == expect
-    assert widths == [1]
+    assert calls == [("_convolve_planes", 1)]
     for ctx, xs, ys, expect in cases:
         assert ctx.convolve(xs, ys) == expect
-    assert widths[1:] == [1, 2, 1, 1] * len(_PACK_FIELDS)
+    assert calls[1:] == [
+        ("_convolve_planes" if ctx.p == 2 else "_convolve_packed", nb)
+        for ctx in fields for nb in (1, 2, 1, 1)]
     F32 = field(2, 5, (1, 0, 1, 0, 0, 1))
     with pytest.raises(AssertionError, match="table path"):
         F32.convolve([1] * 64, [1] * 64)

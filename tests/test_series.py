@@ -188,9 +188,9 @@ def test_series_pow_digits_match_products(ctx_name, request, assert_refines):
 
 # -- packed products against the schoolbook loop ------------------------------
 # The fields whose convolution packs (p^(2d-1) <= 256).  ``convolve`` gives a
-# packed vector one-byte slots while min(len) * d * (p-1)^2 < 256, or else
-# while min(nnz) * d * (p-1)^2 < 256, nnz an operand's count of non-zero
-# codes.
+# packed vector one-byte slots while min(len) * top < 256, or else while
+# min(nnz) * top < 256, nnz an operand's count of non-zero codes and top 1
+# for p = 2 (bit planes) and d * (p-1)^2 for odd p (digit slots).
 _PACK_FIELDS = {
     "F2": (2, 1, None),
     "F3": (3, 1, None),
@@ -201,6 +201,8 @@ _PACK_FIELDS = {
 
 
 def _one_byte_edge(ctx):
+    if ctx.p == 2:
+        return 255
     return 255 // (ctx.d * (ctx.p - 1) ** 2)
 
 
@@ -269,13 +271,14 @@ def test_packed_product_slot_widths(name, monkeypatch):
     edge = _one_byte_edge(ctx)
     rng = random.Random(11)
     widths = []
-    packed = FieldCtx._convolve_packed
+    path = "_convolve_planes" if ctx.p == 2 else "_convolve_packed"
+    packed = getattr(FieldCtx, path)
 
     def spy(self, xs, ys, nb):
         widths.append((min(len(xs), len(ys)), nb))
         return packed(self, xs, ys, nb)
 
-    monkeypatch.setattr(FieldCtx, "_convolve_packed", spy)
+    monkeypatch.setattr(FieldCtx, path, spy)
     for L, nb in (((edge + 1) // 3, 1), ((edge + 1) // 3 + 1, 1),
                   (edge // 2, 1), (edge // 2 + 1, 2)):
         a, b = (TruncSeries(ctx, [
