@@ -22,18 +22,17 @@ from .fq import DEFAULT_ENUM_CAP, PolyA, enumerate_polys
 from .laurent import LaurentF
 
 DEFAULT_WINDOW = 3
-DEFAULT_KMAX = 64
+K_MAX = 64  # the last index k of a Carlitz-exponential sum
 
 
 class CarlitzCtx:
     """Field context plus caches for D_k and their Laurent inverses."""
 
     def __init__(self, field_ctx, cap=DEFAULT_ENUM_CAP,
-                 window=DEFAULT_WINDOW, k_max=DEFAULT_KMAX):
+                 window=DEFAULT_WINDOW):
         self.field = field_ctx
         self.cap = cap
         self.window = window
-        self.k_max = k_max
         self._dk = [PolyA.one(field_ctx)]  # D_0 = 1, the empty product
         self._dk_inv = {}
         self._lock = threading.Lock()
@@ -87,33 +86,31 @@ class CarlitzCtx:
                 return prod
         return prod
 
-    def exp_sum(self, x: LaurentF, prec: int, window=None, k_max=None) -> LaurentF:
-        """sum_k x^(q^k) / D_k, stopped once ``window`` consecutive terms sit
-        at valuation >= prec.  No domain restriction: term valuations
-        q^k (v(x) + k) eventually increase for every x, so the window rule
-        is a sound stopping criterion even when |x| >= 1.
+    def exp_sum(self, x: LaurentF, prec: int) -> LaurentF:
+        """sum_k x^(q^k) / D_k for k <= K_MAX, stopped once ``window``
+        consecutive terms sit at valuation >= prec.  No domain restriction:
+        term valuations q^k (v(x) + k) eventually increase for every x, so
+        the window rule is a sound stopping criterion even when |x| >= 1.
         """
-        window = self.window if window is None else window
-        k_max = self.k_max if k_max is None else k_max
         if x.is_exact_zero():
             return x
         q = self.field.q
         acc = LaurentF.zero(self.field)
         quiet = 0
         vx = x.val_lower_bound()
-        for k in range(k_max + 1):
+        for k in range(K_MAX + 1):
             # 1/D_k accurate enough that the whole term is accurate to prec
             need = max(prec, prec - q ** k * vx) + 8
             term = x.q_power(k) * self.dk_inv(k, need)
             acc = acc + term
             if term.val_lower_bound() >= prec:
                 quiet += 1
-                if quiet >= window:
+                if quiet >= self.window:
                     return acc
             else:
                 quiet = 0
         raise NoConvergenceDetectedError(
-            f"carlitz exponential did not settle below 2^-{prec} by k={k_max}")
+            f"carlitz exponential did not settle below 2^-{prec} by k={K_MAX}")
 
     def exp(self, x: LaurentF, prec: int) -> LaurentF:
         """The Carlitz exponential on the open unit ball, |x| < 1.

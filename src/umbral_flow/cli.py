@@ -19,16 +19,7 @@ from .errors import ParseError, UmbralFlowError, UnknownClaimError
 from .fq import FqElem, PolyA
 from .laurent import INF, LaurentF
 from .series import AdditiveSeries, TruncSeries
-from .umbral import (
-    AdditiveMap,
-    CarlitzExpFn,
-    GeometricMap,
-    IdentityFn,
-    NaiveMap,
-    PolyFn,
-    TwistedMap,
-    apply_flow,
-)
+from .umbral import AdditiveMap, GeometricMap, NaiveMap, TwistedMap, apply_flow
 from .verify import CLAIMS, run_verify
 
 
@@ -152,6 +143,19 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _horner(poly: PolyA):
+    """The function x -> g(x) for the fixed polynomial g = poly, evaluated
+    at Laurent values by Horner's rule."""
+    def at(x):
+        acc = LaurentF.zero(x.ctx)
+        for code in reversed(poly.codes):
+            acc = acc * x
+            if code:
+                acc = acc + LaurentF(x.ctx, 0, (code,), INF)
+        return acc
+    return at
+
+
 def make_map(spec: str, cctx: CarlitzCtx, cfg: Config, h_file=None):
     kind, _, rest = spec.partition(":")
     if kind == "additive":
@@ -163,14 +167,14 @@ def make_map(spec: str, cctx: CarlitzCtx, cfg: Config, h_file=None):
     if kind == "geometric":
         fn_kind, _, fn_rest = rest.partition(":")
         if fn_kind == "identity":
-            fn = IdentityFn()
+            fn = lambda x: x
         elif fn_kind == "carlitz-exp":
-            fn = CarlitzExpFn(cctx, cfg.prec)
+            fn = lambda x: cctx.exp(x, cfg.prec)
         elif fn_kind == "poly":
-            fn = PolyFn(parse_poly(cctx.field, fn_rest))
+            fn = _horner(parse_poly(cctx.field, fn_rest))
         else:
             raise ParseError(f"unknown scalar function {fn_kind!r}")
-        return GeometricMap(cctx, cfg.prec, fn)
+        return GeometricMap(cctx, cfg.prec, fn, fn_kind)
     if kind == "dual":
         inner_spec, _, path = rest.partition(":")
         path = path or h_file

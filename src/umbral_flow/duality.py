@@ -19,12 +19,17 @@ Precision of a dual moment is capped at ``eval_len`` since the dropped tail
 is only heuristically small; every acceptance configuration keeps
 ``eval_len`` above its target precision.
 
-Both dual-layer sums are read through a window, and a term whose valuation
-bound reaches the window is never multiplied out (see ``umbral_eval``).  A
-dual moment's window is its cap ``eval_len``.  The duality diagram's dual
-flow coefficient at T^h has the precision of the left side's coefficient as
-its window: the difference of the two is known only below that precision,
-so the skipped terms cannot move the agreement it reports.
+Both dual-layer sums, ``umbral_eval`` for a dual moment and
+``flow_coefficient`` for the diagram's right side, are the one windowed
+moment sum of ``umbral``: a term whose valuation bound reaches the window is
+never multiplied out.  A dual moment's window is its cap ``eval_len``.  The
+duality diagram's dual flow coefficient at T^h has the precision of the left
+side's coefficient as its window: the difference of the two is known only
+below that precision, so the skipped terms cannot move the agreement it
+reports.
+
+An iso is built one way, from its generator.  An iso whose inverse
+generator is a given truncated series S is ``AdditiveIso(S).inverse_iso()``.
 """
 
 from __future__ import annotations
@@ -65,19 +70,6 @@ class AdditiveIso:
         self._inv = None
         self._gen_powers = {}
         self._hinv_powers = {}
-
-    @classmethod
-    def from_inverse(cls, Hinv_given: AdditiveSeries) -> "AdditiveIso":
-        """Build the iso whose inverse generator IS the given series.
-
-        The generator becomes the composition inverse of ``Hinv_given`` on
-        its stored range, declared exact: the iso is generated by that
-        additive polynomial, and re-inverting it reproduces the given
-        coefficients on the same range (triangular determinacy).
-        """
-        G = Hinv_given.inverse(length=Hinv_given.length)
-        G = AdditiveSeries(G.ctx, G.pcoeffs, exact=True)
-        return cls(G)
 
     @property
     def ctx(self):
@@ -135,7 +127,10 @@ class AdditiveIso:
         """The iso generated by the composition inverse of H truncated to
         ``length`` and declared exact on that range.  Pick the length long
         enough for the consumer: a dual-of-dual round trip deviates from the
-        identity only past p^length."""
+        identity only past p^length.  At the default length this is also
+        the iso whose inverse generator is H itself on H's stored range
+        (triangular determinacy), which is how an iso is built from a
+        truncated inverse series."""
         inv = self.inverse(length if length is not None else self.H.length)
         return AdditiveIso(AdditiveSeries(self.ctx, inv.pcoeffs, exact=True))
 

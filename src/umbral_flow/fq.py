@@ -588,13 +588,6 @@ class PolyA:
             n >>= 1
         return r
 
-    def evaluate(self, x: FqElem) -> FqElem:
-        acc = 0
-        ctx = self.ctx
-        for c in reversed(self.codes):
-            acc = ctx.add_c(ctx.mul_c(acc, x.code), c)
-        return FqElem(ctx, acc)
-
     def __eq__(self, other):
         return (isinstance(other, PolyA) and self.ctx is other.ctx
                 and self.codes == other.codes)

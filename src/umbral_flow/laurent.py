@@ -143,11 +143,6 @@ class LaurentF:
         return LaurentF(self.ctx, self.v, self.ctx.scale(code, self.codes),
                         self.prec)
 
-    def shift(self, k):
-        """Multiply by s^k = t^(-k), exactly."""
-        return LaurentF(self.ctx, self.v + k, self.codes,
-                        self.prec if self.prec == INF else self.prec + k)
-
     def inv(self, prec=None):
         """Multiplicative inverse.
 

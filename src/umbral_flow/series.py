@@ -286,20 +286,6 @@ class TruncSeries:
             out[j * e] = c.frob_power(t).truncate(cap)
         return TruncSeries(self.ctx, out)
 
-    def __pow__(self, n):
-        """B^n = B^(n - p^t) * B^(p^t) for p^t the top base-p place of n,
-        where B^(p^t) is a Frobenius twist: n's base-p digit sum, less one,
-        series products."""
-        p = self.ctx.p
-        r = None
-        while n:
-            t, e = top_place(p, n)
-            f = self.frobenius(t)
-            r = f if r is None else r * f
-            n -= e
-        return r if r is not None else \
-            TruncSeries.monomial(self.ctx, 0, self.trunc)
-
     def __eq__(self, other):
         return (isinstance(other, TruncSeries) and self.ctx is other.ctx
                 and self.coeffs == other.coeffs)

@@ -2,7 +2,8 @@
 
 An umbral map is represented extensionally: all anybody can ask of it is its
 moment sequence F_k(x), so that is the interface.  The k = 0 moment is 1 for
-every map and every x.  Flow application is the finite triangular sum
+every map and every x.  A geometric map is given by a plain function g and a
+name, with moments g(x)^k.  Flow application is the finite triangular sum
 
     (flow P)_h = sum_{k < M-h} C(k+h, h) a_{k+h} F_k(x)
 
@@ -11,16 +12,19 @@ first one this provably coincides with a Taylor shift, which the test suites
 check against as an independent oracle (taylor_shift never goes through
 moments).
 
+The flow coefficient at X^h is the umbral evaluation of the h-th Hasse
+derivative of P, so ``flow_coefficient`` and ``umbral_eval`` (its h = 0
+case) run one windowed moment sum, ``_moment_sum``.  A finite window skips
+every term whose valuation bound reaches it.
+
 ``apply_flow`` sums the whole window at once as sum_j a_j row_j, with
-row_j = sum_h C(j, h) F_(j-h)(x) X^h over the h whose C(j, h) is not
-divisible by p.  Those (h, C(j, h) mod p) pairs come from Lucas's theorem,
-one cached table per window and p.  Over a field whose convolution packs,
-row_j is one code vector with block h at offset h*W, each a_j multiplies
-its row in one ``FieldCtx.convolve`` call, and every output precision is a
-min over the same pairs, which is integer work.  ``flow_coefficient`` is
-the per-coefficient loop: the reference for the packed sum, the path over
-fields that do not pack, and the windowed single reads of the duality
-checks.
+row_j = sum_h F_(j-h)(x) X^h over the h whose C(j, h) is odd.  Over
+characteristic 2, where adding two code vectors is one XOR, row_j is one
+code vector with block h at offset h*W, each a_j multiplies its row in one
+``FieldCtx.convolve`` call, and every output precision is a min over the
+same pairs, which is integer work.  Over odd p ``apply_flow`` takes
+``flow_coefficient`` per coefficient, which is also the reference for the
+packed sum and the windowed single reads of the duality checks.
 
 Admissibility (F_k(x) -> 0) is only semi-decidable at finite precision, so
 the heuristic verdict is labeled "apparently"; the maps with an exact rule
@@ -37,17 +41,6 @@ from .carlitz import CarlitzCtx
 from .errors import PreconditionFailedError
 from .laurent import INF, LaurentF
 from .series import TruncSeries, binom_mod_p
-
-
-@dataclass(frozen=True)
-class AdmissibilityParams:
-    k_max: int = 32
-    window: int = 3
-    prec: int = 64
-
-    def __post_init__(self):
-        if not self.k_max >= self.window >= 1:
-            raise ValueError("need k_max >= window >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,56 +117,14 @@ class NaiveMap(_PowerMomentMap):
         return self.cctx.exp(x, self.prec)
 
 
-class ScalarFn:
-    name = "abstract"
-
-    def __call__(self, x: LaurentF) -> LaurentF:
-        raise NotImplementedError
-
-
-class IdentityFn(ScalarFn):
-    name = "identity"
-
-    def __call__(self, x):
-        return x
-
-
-class CarlitzExpFn(ScalarFn):
-    name = "carlitz-exp"
-
-    def __init__(self, cctx: CarlitzCtx, prec: int):
-        self.cctx = cctx
-        self.prec = prec
-
-    def __call__(self, x):
-        return self.cctx.exp(x, self.prec)
-
-
-class PolyFn(ScalarFn):
-    """Evaluate a fixed polynomial g in A at x."""
-
-    name = "poly"
-
-    def __init__(self, poly):
-        self.poly = poly
-
-    def __call__(self, x):
-        acc = LaurentF.zero(x.ctx)
-        for k in range(len(self.poly.codes) - 1, -1, -1):
-            acc = acc * x
-            code = self.poly.codes[k]
-            if code:
-                acc = acc + LaurentF(x.ctx, 0, (code,), INF)
-        return acc
-
-
 class GeometricMap(_PowerMomentMap):
-    """F_k(x) = Gamma(x)^k for a supplied scalar function Gamma."""
+    """F_k(x) = g(x)^k for a supplied function g on Laurent values, named
+    ``geometric:<name>``."""
 
-    def __init__(self, cctx, prec, fn: ScalarFn):
+    def __init__(self, cctx, prec, fn, name):
         super().__init__(cctx, prec)
         self.fn = fn
-        self.name = f"geometric:{fn.name}"
+        self.name = f"geometric:{name}"
 
     def _base(self, x):
         return self.fn(x)
@@ -225,23 +176,21 @@ class TwistedMap(UmbralMap):
         return AdmissibilityVerdict(True, "twisted maps are admissible everywhere")
 
 
-def admissible_heuristic(umap: UmbralMap, x: LaurentF,
-                         params: AdmissibilityParams | None = None
-                         ) -> AdmissibilityVerdict:
-    """Exact rule when the map has one, else a windowed decay scan."""
+def admissible_heuristic(umap: UmbralMap,
+                         x: LaurentF) -> AdmissibilityVerdict:
+    """Exact rule when the map has one, else a windowed decay scan: x is
+    apparently admissible once 3 consecutive moments reach ``umap.prec``.
+    Moments decaying at unit rate need k about prec before they clear that
+    bar, so the scan depth follows the precision."""
     exact = umap.admissibility_rule(x)
     if exact is not None:
         return exact
-    # moments decaying at unit rate need k about prec before they clear the
-    # bar, so the default scan depth follows the precision
-    params = params or AdmissibilityParams(k_max=max(32, umap.prec + 8),
-                                           prec=umap.prec)
     quiet = 0
     last_bad = None
-    for k in range(1, params.k_max + 1):
-        if umap.moment(x, k).val_lower_bound() >= params.prec:
+    for k in range(1, max(32, umap.prec + 8) + 1):
+        if umap.moment(x, k).val_lower_bound() >= umap.prec:
             quiet += 1
-            if quiet >= params.window:
+            if quiet >= 3:
                 return AdmissibilityVerdict(True, "windowed decay scan")
         else:
             quiet = 0
@@ -253,29 +202,48 @@ def flow_coefficient(umap: UmbralMap, x: LaurentF, P: TruncSeries,
                      h: int, window=INF) -> LaurentF:
     """eps_h = sum_{k < M-h} C(k+h, h) a_{k+h} F_k(x), an exact finite sum,
     truncated at absolute precision ``window``: one Laurent product and one
-    sum per term.
+    sum per term (see ``_moment_sum``).
 
-    This loop is the reference for ``apply_flow``'s packed sum and the path
-    over fields that do not pack.  The duality checks call it directly for
-    the single coefficients they read.  A finite window skips each term
-    whose bound vlb(a_{k+h}) + vlb(F_k(x)) reaches it, as ``umbral_eval``
-    does; the default INF skips nothing and adds no test per term.
+    This is ``apply_flow``'s path over odd p and the reference for its
+    packed sum.  The duality checks call it directly for the single
+    coefficients they read.
     """
+    return _moment_sum(umap, x, P, h, window)
+
+
+def umbral_eval(Q: TruncSeries, umap: UmbralMap, x: LaurentF,
+                window=INF) -> LaurentF:
+    """eval of sum_m q_m F(x)^m over the coefficient window of Q, truncated
+    at absolute precision ``window``: the flow coefficient at h = 0."""
+    return _moment_sum(umap, x, Q, 0, window)
+
+
+def _moment_sum(umap, x, P, h, window):
+    # sum_{j >= h} C(j, h) a_j F_(j-h)(x) over the terms of P, truncated at
+    # ``window``.  Every term is visited; none is dropped for being small,
+    # since term valuations need not be monotone in j.  A term is skipped,
+    # unmultiplied, only when its own bound vlb(a_j) + vlb(F_(j-h)(x))
+    # reaches the window.  A product's digits and its precision are all at
+    # or past the sum of its factors' valuation bounds, so such a term adds
+    # only digits that the truncation drops, and a precision at least the
+    # window: the truncated sum is the same (v, codes, prec) with or
+    # without it.  With the default INF window this skips only moments that
+    # are exact zeros, whose products would add nothing.  At h = 0 every
+    # C(j, 0) is 1, so no binomial is looked up.
     p = P.ctx.p
-    bounded = window != INF
     acc = LaurentF.zero(P.ctx)
     for j, a in P.terms:
-        if j < h:
-            continue
-        b = binom_mod_p(j, h, p)
-        if b == 0:
-            continue
-        if b != 1:
-            a = a.scale(b)
+        if h:
+            if j < h:
+                continue
+            b = binom_mod_p(j, h, p)
+            if b == 0:
+                continue
+            if b != 1:
+                a = a.scale(b)
         if j > h:
             fk = umap.moment(x, j - h)
-            if bounded and a.val_lower_bound() + fk.val_lower_bound() \
-                    >= window:
+            if a.val_lower_bound() + fk.val_lower_bound() >= window:
                 continue
             a = a * fk
         acc = acc + a
@@ -283,12 +251,11 @@ def flow_coefficient(umap: UmbralMap, x: LaurentF, P: TruncSeries,
 
 
 @lru_cache(maxsize=None)
-def _lucas_rows(n, p):
-    """For each j < n, the pairs (h, C(j, h) mod p) with h <= j and C(j, h)
-    not divisible by p, h ascending.  By Lucas's theorem these are the h
-    whose base-p digits lie under those of j: 81 pairs for n = 16, p = 2."""
-    return tuple(tuple((h, b) for h in range(j + 1)
-                       if (b := binom_mod_p(j, h, p)))
+def _odd_binomial_rows(n):
+    """For each j < n, the h <= j with C(j, h) odd, ascending.  By Lucas's
+    theorem these are the h whose bits lie under those of j: 81 in all for
+    n = 16."""
+    return tuple(tuple(h for h in range(j + 1) if h & j == h)
                  for j in range(n))
 
 
@@ -296,33 +263,36 @@ def apply_flow(umap: UmbralMap, x: LaurentF, P: TruncSeries,
                require_admissible: bool = True) -> TruncSeries:
     """Apply the flow operator of ``umap`` at x to P, on P's window.
 
-    Over a field whose convolution packs the window is one packed sum
-    (``_flow_packed``); other fields take ``flow_coefficient`` per
-    coefficient.  Both give every coefficient the same (v, codes, prec)
-    and ask ``umap`` for the same moments.
+    Over characteristic 2 the window is one packed sum (``_flow_packed``),
+    whose accumulation is one XOR per coded coefficient; over odd p a
+    packed sum would add code vectors with a table loop, and the window
+    takes ``flow_coefficient`` per coefficient instead.  Both give every
+    coefficient the same (v, codes, prec) and ask ``umap`` for the same
+    moments.
     """
     if require_admissible:
         verdict = admissible_heuristic(umap, x)
         if not verdict.apparently_admissible:
             raise PreconditionFailedError(
                 f"x not apparently admissible for {umap.name}: {verdict}")
-    if P.ctx.packs:
+    if P.ctx.p == 2:
         return _flow_packed(umap, x, P)
     return TruncSeries(P.ctx, [flow_coefficient(umap, x, P, h)
                                for h in range(P.trunc)])
 
 
 def _flow_packed(umap, x, P):
-    # (flow P) = sum_j a_j row_j, row_j = sum_h C(j, h) F_(j-h)(x) X^h over
-    # the Lucas pairs of j.  Block h of row_j holds the codes of
-    # C(j, h) F_(j-h) at offset h*W + (v_F - v_Fmin), with W the digit span
-    # of the coded a_j plus that of the moments they meet, less one, so
-    # that one convolution by a_j's codes keeps every block apart.  The
-    # loop truncates each sum at the least precision of its terms, so block
-    # h is cut at prec_h, the min over pairs (j, h) of
-    # min(prec_a + vlb_F, prec_F + vlb_a); F_0 = 1 is exact.
+    # (flow P) = sum_j a_j row_j, row_j = sum_h F_(j-h)(x) X^h over the h
+    # with C(j, h) odd, the only non-zero binomials in characteristic 2.
+    # Block h of row_j holds the codes of F_(j-h) at offset
+    # h*W + (v_F - v_Fmin), with W the digit span of the coded a_j plus
+    # that of the moments they meet, less one, so that one convolution by
+    # a_j's codes keeps every block apart.  The loop truncates each sum at
+    # the least precision of its terms, so block h is cut at prec_h, the
+    # min over pairs (j, h) of min(prec_a + vlb_F, prec_F + vlb_a); F_0 = 1
+    # is exact.
     ctx, n = P.ctx, P.trunc
-    rows = _lucas_rows(n, ctx.p)
+    rows = _odd_binomial_rows(n)
     moments = {0: LaurentF.one(ctx)}
     precs = [INF] * n
     coded = []
@@ -332,7 +302,7 @@ def _flow_packed(umap, x, P):
         pa, va = a.prec, a.val_lower_bound()
         if a.codes:
             coded.append((j, a))
-        for h, _ in rows[j]:
+        for h in rows[j]:
             f = moments.get(j - h)
             if f is None:
                 f = moments[j - h] = umap.moment(x, j - h)
@@ -350,38 +320,13 @@ def _flow_packed(umap, x, P):
     acc = b""
     for j, a in coded:
         row = bytearray(j * width + f_hi - f_lo)
-        for h, b in rows[j]:
+        for h in rows[j]:
             f = moments[j - h]
             if f.codes:
                 at = h * width + f.v - f_lo
-                row[at:at + len(f.codes)] = ctx.scale(b, f.codes)
+                row[at:at + len(f.codes)] = f.codes
         acc = ctx.add(acc, ctx.convolve(bytes(row), a.codes), a.v - a_lo)
     v = a_lo + f_lo
     return TruncSeries(ctx, [
         LaurentF(ctx, v, acc[h * width:(h + 1) * width], precs[h])
         for h in range(n)])
-
-
-def umbral_eval(Q: TruncSeries, umap: UmbralMap, x: LaurentF,
-                window=INF) -> LaurentF:
-    """eval of sum_m q_m F(x)^m over the coefficient window of Q, truncated
-    at absolute precision ``window``.
-
-    Every term is visited; none is dropped for being small, since term
-    valuations need not be monotone in m.  A term q_m F_m(x) is skipped,
-    unmultiplied, only when its own bound vlb(q_m) + vlb(F_m(x)) reaches
-    the window.  A product's digits and its precision are all at or past
-    the sum of its factors' valuation bounds, so such a term adds only
-    digits that the truncation drops, and a precision at least the window:
-    the truncated sum is the same (v, codes, prec) with or without it.  With
-    the default INF window this skips only moments that are exact zeros.
-    """
-    acc = LaurentF.zero(umap.ctx)
-    for m, c in Q.terms:
-        if m:
-            fm = umap.moment(x, m)
-            if c.val_lower_bound() + fm.val_lower_bound() >= window:
-                continue
-            c = c * fm
-        acc = acc + c
-    return acc.truncate(window)

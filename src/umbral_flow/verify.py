@@ -15,7 +15,7 @@ import random
 import sys
 import time
 
-from .carlitz import CarlitzCtx
+from .carlitz import K_MAX, CarlitzCtx
 from .config import Config
 from .duality import (
     AdditiveIso,
@@ -41,6 +41,9 @@ from .series import (
     taylor_shift,
 )
 from .umbral import AdditiveMap, NaiveMap, TwistedMap, apply_flow
+
+
+ZERO_PROB = 0.15
 
 
 class Sampler:
@@ -70,14 +73,14 @@ class Sampler:
     def poly_elem(self, max_deg, nonzero=False, prec=INF):
         return LaurentF.from_poly(self.poly(max_deg, nonzero), prec)
 
-    def bounded_series(self, trunc, prec=None, v_lo=0, v_hi=6,
-                       zero_prob=0.15):
-        """Random bounded series: coefficients in O_F, some exactly zero."""
+    def bounded_series(self, trunc, prec=None, v_lo=0, v_hi=6):
+        """Random bounded series: coefficients in O_F, each exactly zero
+        with probability ``ZERO_PROB``."""
         prec = prec or self.prec
         q = self.ctx.q
         coeffs = []
         for _ in range(trunc):
-            if self.rng.random() < zero_prob:
+            if self.rng.random() < ZERO_PROB:
                 coeffs.append(LaurentF.zero(self.ctx))
                 continue
             v = self.rng.randint(v_lo, v_hi)
@@ -127,7 +130,7 @@ def ex58_series(cctx: CarlitzCtx, length: int, prec: int) -> AdditiveSeries:
 def ex58_iso(cctx, length, prec):
     """The iso whose dual-moment kernel is the exp-at-one twist series:
     dual moments of the twisted map against it sum to Carlitz exponentials."""
-    return AdditiveIso.from_inverse(ex58_series(cctx, length, prec))
+    return AdditiveIso(ex58_series(cctx, length, prec)).inverse_iso()
 
 
 def _compositions(n, h):
@@ -429,7 +432,7 @@ def claim_example57(cfg: Config) -> DualityReport:
     # the dual's moments track e_C(x)^k only up to the generator's p-range,
     # so the range must clear the target precision, not just the truncation
     glen = max(plen(cfg.p, cfg.trunc), plen(cfg.q, cfg.prec) + 1)
-    iso_rev = AdditiveIso.from_inverse(ec_generator(cctx, glen, cfg.prec + 32))
+    iso_rev = AdditiveIso(ec_generator(cctx, glen, cfg.prec + 32)).inverse_iso()
     S = AdditiveMap(cctx, cfg.prec)
     NM = NaiveMap(cctx, cfg.prec)
     dual = DualMap(S, iso_rev, prec=cfg.prec)
@@ -466,7 +469,7 @@ def claim_example58(cfg: Config) -> DualityReport:
         acc = LaurentF.zero(ctx)
         quiet = 0
         k = 0
-        while quiet < cfg.window and k <= cctx.k_max:
+        while quiet < cfg.window and k <= K_MAX:
             ekx = cctx.ek(k, x)
             if ekx.is_exact_zero():
                 quiet += 1

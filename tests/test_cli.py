@@ -10,6 +10,7 @@ from umbral_flow.cli import main, make_map, parse_element, parse_poly
 from umbral_flow.config import Config
 from umbral_flow.errors import ParseError
 from umbral_flow.fq import FqElem, PolyA, field
+from umbral_flow.laurent import LaurentF
 
 
 def test_parse_poly_basic(F2):
@@ -55,7 +56,6 @@ def test_parse_errors(F2):
 
 
 def test_parse_element_json_file(tmp_path, F2):
-    from umbral_flow.laurent import LaurentF
     x = LaurentF(F2, -1, [1, 0, 1], 9)
     path = tmp_path / "x.json"
     path.write_text(json.dumps(x.to_json()))
@@ -69,6 +69,13 @@ def test_make_map_specs(cc2):
     assert make_map("twisted", cc2, cfg).name == "twisted"
     assert make_map("geometric:identity", cc2, cfg).name == "geometric:identity"
     assert make_map("geometric:poly:t^2", cc2, cfg).name == "geometric:poly"
+    # each geometric function's first moment is its value at x
+    x = LaurentF(cc2.field, 1, [1, 0, 1], 40)
+    one = LaurentF.one(cc2.field)
+    for spec, want in (("identity", x), ("poly:t^2+1", x * x + one),
+                       ("carlitz-exp", cc2.exp(x, cfg.prec))):
+        got = make_map("geometric:" + spec, cc2, cfg).moment(x, 1)
+        assert got == want
     with pytest.raises(ParseError):
         make_map("bogus", cc2, cfg)
 
@@ -93,7 +100,6 @@ def test_cli_carlitz_exp_domain_error(capsys):
 
 
 def test_cli_flow_apply_matches_shift(capsys, tmp_path, cc2):
-    from umbral_flow.laurent import LaurentF
     from umbral_flow.series import TruncSeries, taylor_shift
 
     P = TruncSeries.monomial(cc2.field, 3, 8)
@@ -105,7 +111,6 @@ def test_cli_flow_apply_matches_shift(capsys, tmp_path, cc2):
 
 
 def test_cli_flow_apply_admissible(capsys, tmp_path, cc2):
-    from umbral_flow.laurent import LaurentF
     from umbral_flow.series import TruncSeries, taylor_shift
 
     P = TruncSeries.monomial(cc2.field, 3, 8)

@@ -30,14 +30,13 @@ from umbral_flow.series import (
 from umbral_flow.umbral import (
     AdditiveMap,
     GeometricMap,
-    IdentityFn,
     NaiveMap,
     TwistedMap,
     apply_flow,
     flow_coefficient,
     umbral_eval,
 )
-from umbral_flow.verify import ec_generator, ec_iso, ex58_iso
+from umbral_flow.verify import ec_generator, ec_iso, ex58_iso, ex58_series
 
 N = 48
 M = 12
@@ -60,6 +59,16 @@ def test_iso_requires_generator(F2):
     s = LaurentF(F2, 1, [1], INF)  # valuation 1: not a unit
     with pytest.raises(NotAGeneratorError):
         AdditiveIso(AdditiveSeries(F2, [s]))
+
+
+def test_iso_from_truncated_inverse(cc2):
+    # AdditiveIso(S).inverse_iso() is generated by S^(-1) on S's range,
+    # declared exact, so its inverse generator is S again on that range
+    S = ex58_series(cc2, 4, N + 32)
+    iso = AdditiveIso(S).inverse_iso()
+    assert iso.H.exact and iso.H.length == S.length
+    for got, want in zip(iso.inverse().pcoeffs, S.pcoeffs, strict=True):
+        assert agreement_valuation(got, want) >= N
 
 
 def test_apply_iso_scaling(F3):
@@ -264,7 +273,7 @@ def test_dual_moment_k0(cc2):
 def test_dual_of_additive_reverse_gives_naive(cc2):
     # generator = composition inverse of the Carlitz-exponential truncation:
     # the dual's moments are e_C(x)^k
-    iso_rev = AdditiveIso.from_inverse(ec_generator(cc2, 7, N + 32))
+    iso_rev = AdditiveIso(ec_generator(cc2, 7, N + 32)).inverse_iso()
     S = AdditiveMap(cc2, N)
     NM = NaiveMap(cc2, N)
     dual = DualMap(S, iso_rev, prec=N)
@@ -349,7 +358,7 @@ def test_geometric_criterion_twisted_direction(cc2):
 
 def test_geometric_criterion_trivial_geometric(cc2):
     iso = AdditiveIso(AdditiveSeries.identity(cc2.field))
-    G = GeometricMap(cc2, N, IdentityFn())
+    G = GeometricMap(cc2, N, lambda x: x, "identity")
     rng = random.Random(10)
     rep = check_geometric_criterion(G, iso, _unit_x(cc2.field, rng), J, N, 4)
     verdict = rep.notes[-1]

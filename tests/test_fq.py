@@ -191,13 +191,6 @@ def test_poly_json_roundtrip(F4):
     assert PolyA.from_json(F4, p.to_json()) == p
 
 
-def test_poly_evaluate(F3):
-    t = PolyA.t(F3)
-    p = t * t + t + PolyA.one(F3)
-    # p(2) = 4 + 2 + 1 = 7 = 1 mod 3
-    assert p.evaluate(FqElem(F3, 2)).code == 1
-
-
 # Kronecker-packed convolution against the table path.  For p = 2 the
 # products run on bit planes, whose slots sum at most min(len) products of
 # two bits, and odd p on digit slots, which sum at most min(len) * d * (p-1)^2

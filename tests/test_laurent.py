@@ -267,8 +267,3 @@ def test_json_roundtrip(F4):
     z = LaurentF.zero(F4)
     assert LaurentF.from_json(F4, z.to_json()).is_exact_zero()
 
-
-def test_shift_is_exact(F2):
-    x = LaurentF(F2, 1, [1, 1], 9)
-    y = x.shift(3)
-    assert y.valuation() == 4 and y.prec == 12

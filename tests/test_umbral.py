@@ -20,12 +20,8 @@ from umbral_flow.series import (
 )
 from umbral_flow.umbral import (
     AdditiveMap,
-    AdmissibilityParams,
-    CarlitzExpFn,
     GeometricMap,
-    IdentityFn,
     NaiveMap,
-    PolyFn,
     TwistedMap,
     admissible_heuristic,
     apply_flow,
@@ -58,7 +54,7 @@ def _unit_x(ctx, rng, prec=N):
 def test_zeroth_moment_is_one(cc2):
     rng = random.Random(1)
     maps = [AdditiveMap(cc2, N), NaiveMap(cc2, N), TwistedMap(cc2, N),
-            GeometricMap(cc2, N, IdentityFn())]
+            GeometricMap(cc2, N, lambda x: x, "identity")]
     one = LaurentF.one(cc2.field)
     for umap in maps:
         x = _unit_x(cc2.field, rng)
@@ -99,7 +95,7 @@ def test_twisted_moments_vanish_beyond_degree_support(cc2):
 
 
 def test_geometric_map_structural_powers(cc2):
-    G = GeometricMap(cc2, N, PolyFn(PolyA.t(cc2.field)))
+    G = GeometricMap(cc2, N, lambda x: x * x + x, "square-plus-x")
     rng = random.Random(5)
     x = _unit_x(cc2.field, rng)
     g1 = G.moment(x, 1)
@@ -130,7 +126,8 @@ def test_admissibility_exact_rules(cc2):
 
 
 def test_admissibility_windowed_scan(cc2):
-    # force the generic scan with a map that has no exact rule
+    # force the generic scan with a map that has no exact rule; a map at
+    # prec 24 scans k <= 32 for 3 moments in a row at valuation >= 24
     class Decaying(AdditiveMap):
         def admissibility_rule(self, x):
             return None
@@ -138,12 +135,12 @@ def test_admissibility_windowed_scan(cc2):
     D = Decaying(cc2, 24)
     rng = random.Random(7)
     x = _unit_x(cc2.field, rng, prec=32)
-    verdict = admissible_heuristic(D, x, AdmissibilityParams(40, 3, 24))
+    verdict = admissible_heuristic(D, x)
     assert verdict.apparently_admissible
     t = LaurentF.from_poly(PolyA.t(cc2.field), prec=64)
-    verdict = admissible_heuristic(D, t, AdmissibilityParams(12, 3, 24))
+    verdict = admissible_heuristic(D, t)
     assert not verdict.apparently_admissible
-    assert verdict.witness_k is not None
+    assert verdict.witness_k == 32
 
 
 def test_flow_coefficient_examples(cc2):
@@ -287,7 +284,7 @@ def test_umbral_eval_examples(cc2):
 
 def test_umbral_eval_geometric_collapses(cc2):
     # for a geometric map, eval(Q(F(x))) = Q(F_1(x))
-    G = GeometricMap(cc2, N, CarlitzExpFn(cc2, N))
+    G = GeometricMap(cc2, N, lambda x: cc2.exp(x, N), "carlitz-exp")
     rng = random.Random(16)
     x = _unit_x(cc2.field, rng)
     Q = _rand_series(cc2.field, rng, trunc=8)
@@ -302,7 +299,7 @@ def test_umbral_eval_geometric_collapses(cc2):
 def test_umbral_eval_power_collapses_for_geometric(cc2):
     # eval of a power of an admissible series equals the power of its eval
     # when the map is geometric; the two routes differ only past the window
-    G = GeometricMap(cc2, N, IdentityFn())
+    G = GeometricMap(cc2, N, lambda x: x, "identity")
     rng = random.Random(17)
     x = _unit_x(cc2.field, rng)
     Q = _rand_series(cc2.field, rng, trunc=6)
@@ -310,22 +307,26 @@ def test_umbral_eval_power_collapses_for_geometric(cc2):
                        (LaurentF.zero(cc2.field),) * 14)
     # Q^k fits inside the padded window, so both routes are exact
     for k in (2, 3):
-        lhs = umbral_eval(Qpad ** k, G, x)
+        Qk = Qpad
+        for _ in range(k - 1):
+            Qk = Qk * Qpad
+        lhs = umbral_eval(Qk, G, x)
         rhs = umbral_eval(Q, G, x) ** k
         assert agreement_valuation(lhs, rhs) >= N
 
 
 # -- the packed flow sum against the per-coefficient loop ----------------------
-# Every field here packs (p^(2d-1) <= 256); odd p gives binomial weights
-# C(j, h) other than 1.
+# apply_flow packs over every field of characteristic 2, F_32 among them,
+# whose convolution takes the table path (2^9 > 256); odd p takes the loop.
 _FLOW_FIELDS = {
     "F2": (2, 1, None),
     "F3": (3, 1, None),
     "F4": (2, 2, (1, 1, 1)),
-    "F5": (5, 1, None),
     "F8": (2, 3, (1, 1, 0, 1)),
-    "F9": (3, 2, (1, 0, 1)),
+    "F32": (2, 5, (1, 0, 1, 0, 0, 1)),
 }
+_PACKED_FLOW_FIELDS = sorted(n for n, (p, _, _) in _FLOW_FIELDS.items()
+                             if p == 2)
 
 
 @lru_cache(maxsize=None)
@@ -360,7 +361,7 @@ def _coefficient(draw, ctx, width=12):
 
 @st.composite
 def _flow_case(draw):
-    cctx = _carlitz(draw(st.sampled_from(sorted(_FLOW_FIELDS))))
+    cctx = _carlitz(draw(st.sampled_from(_PACKED_FLOW_FIELDS)))
     ctx = cctx.field
     n = draw(st.sampled_from([0, 1, 5, 16, 17]))
     P = TruncSeries(ctx, [draw(_coefficient(ctx)) for _ in range(n)])
@@ -396,10 +397,26 @@ def test_packed_flow_matches_loop(case):
     assert _states(got) == _states(_loop_flow(umap, x, P))
 
 
-def test_flow_dispatch(cc2, monkeypatch):
-    # a packing field never calls flow_coefficient, and the packed sum asks
-    # for the same distinct moments as the loop; F_32 (2^9 > 256) takes the
-    # loop, one flow_coefficient call per coefficient
+def _spy_flow(monkeypatch, calls):
+    """Record the path of each flow sum in calls: "packed" for a packed
+    sum, the h of each flow_coefficient call."""
+    packed, loop = umbral._flow_packed, umbral.flow_coefficient
+
+    def spy_packed(*args):
+        calls.append("packed")
+        return packed(*args)
+
+    def spy_loop(*args, **kwargs):
+        calls.append(args[3])
+        return loop(*args, **kwargs)
+    monkeypatch.setattr(umbral, "_flow_packed", spy_packed)
+    monkeypatch.setattr(umbral, "flow_coefficient", spy_loop)
+
+
+def test_flow_dispatch(monkeypatch):
+    # characteristic 2 takes one packed sum, F_32 included although its
+    # convolution does not pack, and asks for the same distinct moments as
+    # the loop; odd p takes flow_coefficient once per coefficient
     rng = random.Random(21)
     asked = []
 
@@ -412,39 +429,22 @@ def test_flow_dispatch(cc2, monkeypatch):
         umap.moment = spy
         return umap
 
-    loop = umbral.flow_coefficient
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("flow_coefficient")
-
     cases = []
-    for cctx in (cc2, _carlitz("F3"), _carlitz("F4")):
-        ctx = cctx.field
-        for P in (_rand_series(ctx, rng, trunc=16),
-                  TruncSeries.monomial(ctx, 5, 16)):
-            x = _unit_x(ctx, rng)
+    for name in ("F2", "F3", "F32"):
+        cctx = _carlitz(name)
+        for P in (_rand_series(cctx.field, rng, trunc=16),
+                  TruncSeries.monomial(cctx.field, 5, 16)):
+            x = _unit_x(cctx.field, rng)
             del asked[:]
             want = _loop_flow(spy_map(AdditiveMap(cctx, N)), x, P)
             cases.append((cctx, x, P, want, set(asked)))
-    with monkeypatch.context() as m:
-        m.setattr(umbral, "flow_coefficient", refuse)
-        for cctx, x, P, want, ks in cases:
-            del asked[:]
-            got = apply_flow(spy_map(AdditiveMap(cctx, N)), x, P,
-                             require_admissible=False)
-            assert got == want
-            assert set(asked) == ks
-
-    F32 = CarlitzCtx(field(2, 5, (1, 0, 1, 0, 0, 1)))
     calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return loop(*args, **kwargs)
-
-    P = _rand_series(F32.field, rng, trunc=6)
-    x = _unit_x(F32.field, rng)
-    want = _loop_flow(AdditiveMap(F32, N), x, P)
-    monkeypatch.setattr(umbral, "flow_coefficient", counted)
-    assert apply_flow(AdditiveMap(F32, N), x, P) == want
-    assert calls == list(range(6))
+    _spy_flow(monkeypatch, calls)
+    for cctx, x, P, want, ks in cases:
+        del asked[:], calls[:]
+        got = apply_flow(spy_map(AdditiveMap(cctx, N)), x, P,
+                         require_admissible=False)
+        assert got == want
+        assert set(asked) == ks
+        assert calls == (["packed"] if cctx.field.p == 2
+                         else list(range(16)))
