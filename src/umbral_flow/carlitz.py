@@ -65,7 +65,15 @@ class CarlitzCtx:
             return self._dk[k]
 
     def dk_inv(self, k: int, prec: int) -> LaurentF:
-        """1/D_k as a Laurent value accurate to at least ``prec``."""
+        """1/D_k as a Laurent value accurate to at least ``prec``.
+
+        D_k is monic of degree k*q^k, so 1/D_k has valuation k*q^k and is
+        zero below any ``prec`` up to that: D_k is then not built.  A k
+        past the enumeration cap still raises, as building D_k would, so the
+        cap still bounds how far a Carlitz sum reaches."""
+        q = self.field.q
+        if prec <= k * q ** k and q ** (k + 1) <= self.cap:
+            return LaurentF.zero_at(self.field, prec)
         key = (k, prec)
         with self._lock:
             got = self._dk_inv.get(key)

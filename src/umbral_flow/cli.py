@@ -1,7 +1,8 @@
 """Command-line front end: element parsing, subcommand dispatch, and
 machine-readable verification reports.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 invalid input.
+Exit codes: 0 all checks passed, 1 some check failed (a claim that raises
+on valid input included), 2 invalid input.
 Reports go to stdout as canonical JSON (byte-stable for a fixed config and
 seed); human-readable progress goes to stderr.
 """

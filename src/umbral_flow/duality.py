@@ -13,16 +13,32 @@ noise from the T-truncation; the reported window stays at the configured
 truncation M.
 
 Dual moments follow the composition-inverse formula: the k-th moment of the
-dual of F under phi is eval((H^(-1))(F(x))^k), computed as the coefficient
-sum of (H^(-1))^k against the inner map's moments out to ``eval_len`` terms.
-Precision of a dual moment is capped at ``eval_len`` since the dropped tail
-is only heuristically small; every acceptance configuration keeps
-``eval_len`` above its target precision.
+dual of F under phi is dual_k(x) = eval((H^(-1))(F(x))^k) = sum_(n >= k)
+c_(k,n) F_n(x), with c_(k,n) the coefficients of (H^(-1))^k, computed as a
+finite sum out to a length L.  The inner map's tail bound
+(``UmbralMap.moment_bound``) makes that sum sound:
+
+* the length: L is ``eval_len``, or the inner support when that is finite
+  and longer, so a sum never drops a non-zero term of a twisted map at a
+  polynomial point;
+* the cap: a dual moment's precision is at most min(``eval_len``,
+  moment_bound(x, L)).  H^(-1) is integral exactly when H is (the
+  inverse's recursion divides only by the unit h_0), and then every
+  dropped term c_(k,n) F_n(x), n >= L, lies at or past moment_bound(x, L).
+  For k >= L the whole sum is such a tail, so dual_k(x) is zero at the cap;
+* the rule: under an integral exact H, a map whose moments have a tail
+  bound has an admissible dual, since vlb(dual_k(x)) >= moment_bound(x, k)
+  grows without limit.  ``DualMap.admissibility_rule`` says so exactly, and
+  the window scan runs only for duals of maps with no bound, where the cap
+  at ``eval_len`` stays heuristic.
+
+The bound comes from the moment definitions alone, never from the duality
+or binomial theorems that the checks test.
 
 Both dual-layer sums, ``umbral_eval`` for a dual moment and
 ``flow_coefficient`` for the diagram's right side, are the one windowed
 moment sum of ``umbral``: a term whose valuation bound reaches the window is
-never multiplied out.  A dual moment's window is its cap ``eval_len``.  The
+never multiplied out.  A dual moment's window is its cap.  The
 duality diagram's dual flow coefficient at T^h has the precision of the left
 side's coefficient as its window: the difference of the two is known only
 below that precision, so the skipped terms cannot move the agreement it
@@ -37,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
+    EnumerationCapExceededError,
     NotAGeneratorError,
     PreconditionFailedError,
     TruncationMismatchError,
@@ -51,6 +68,7 @@ from .series import (
     top_place,
 )
 from .umbral import (
+    AdmissibilityVerdict,
     UmbralMap,
     admissible_heuristic,
     apply_flow,
@@ -162,21 +180,47 @@ class DualMap(UmbralMap):
         self.iso = iso
         self.eval_len = (prec + 16) if eval_len is None else eval_len
         self.name = f"dual({inner.name})"
+        # H^(-1) is integral iff the exact generator H is (h_0 is a unit)
+        self._integral = iso.H.exact and all(
+            c.val_lower_bound() >= 0 for c in iso.H.pcoeffs)
+        self._sums = {}     # x -> (sum length, precision cap)
         self._moments = {}
+
+    def _sum_at(self, x):
+        """(L, cap) at x: the sum length and the precision cap (see the
+        module docstring)."""
+        got = self._sums.get(x)
+        if got is None:
+            support = self.inner.support(x)
+            length = self.eval_len if support == INF \
+                else max(self.eval_len, support)
+            bound = self.inner.moment_bound(x, length)
+            cap = self.eval_len if bound is None else min(self.eval_len, bound)
+            got = self._sums[x] = (length, cap)
+        return got
 
     def moment(self, x, k):
         if k == 0:
             return LaurentF.one(self.ctx)
-        if k >= self.eval_len:
-            # (H^(-1))^k starts at T^k, past every term we evaluate
-            return LaurentF.zero_at(self.ctx, self.eval_len)
+        length, cap = self._sum_at(x)
+        if k >= length:
+            # (H^(-1))^k starts at T^k: the whole sum is tail
+            return LaurentF.zero_at(self.ctx, cap)
         cache = self._moments.setdefault(x, {})
         got = cache.get(k)
         if got is None:
-            R = self.iso.hinv_power(k, self.eval_len)
-            got = umbral_eval(R, self.inner, x, window=self.eval_len)
+            R = self.iso.hinv_power(k, length)
+            got = umbral_eval(R, self.inner, x, window=cap)
             cache[k] = got
         return got
+
+    def admissibility_rule(self, x):
+        # exact: see the module docstring
+        if not self._integral or \
+                self.inner.moment_bound(x, self._sum_at(x)[0]) is None:
+            return None
+        return AdmissibilityVerdict(
+            True, "integral inverse generator, inner moments tail-bounded")
 
 
 class PerturbedMap(UmbralMap):
@@ -195,6 +239,10 @@ class PerturbedMap(UmbralMap):
         if k == self.k_star:
             got = got + self.delta
         return got
+
+    def admissibility_rule(self, x):
+        # one bumped moment does not change whether F_k(x) -> 0
+        return self.base.admissibility_rule(x)
 
 
 @dataclass
@@ -350,7 +398,14 @@ def check_geometric_criterion(inner: UmbralMap, iso: AdditiveIso,
 
 def check_binomial(umap: UmbralMap, x: LaurentF, y: LaurentF, n_max: int,
                    prec: int) -> DualityReport:
-    """F_n(x+y) = sum_k C(n,k) F_k(x) F_{n-k}(y) for n <= n_max."""
+    """F_n(x+y) = sum_k C(n,k) F_k(x) F_{n-k}(y) for n <= n_max.
+
+    The check runs over every pair k <= n <= n_max, an exhaustive
+    enumeration held to the context's cap."""
+    pairs = (n_max + 1) * (n_max + 2) // 2
+    if pairs > umap.cctx.cap:
+        raise EnumerationCapExceededError(
+            f"{pairs} binomial terms exceed cap {umap.cctx.cap}")
     for pt in (x, y, x + y):
         if not admissible_heuristic(umap, pt).apparently_admissible:
             raise PreconditionFailedError(

@@ -28,8 +28,16 @@ packed sum and the windowed single reads of the duality checks.
 
 Admissibility (F_k(x) -> 0) is only semi-decidable at finite precision, so
 the heuristic verdict is labeled "apparently"; the maps with an exact rule
-(powers of a first moment: |F_1(x)| < 1; twisted: everywhere) bypass the
-window scan.
+(powers of a first moment: |F_1(x)| < 1; twisted: everywhere; the dual of
+a map with a tail bound under an integral inverse generator, see
+``duality``) bypass the window scan.
+
+A map may also state a tail bound, ``moment_bound(x, n)``: a lower bound on
+vlb(F_m(x)) for every m >= n that grows without limit in n, read off the
+moment definitions.  Powers of a first moment g with vlb(g(x)) >= 1 have
+n * vlb(g(x)).  The twisted map at a polynomial x has INF from its support
+q^(deg x + 1) on, since e_k(x) = 0 for k > deg x.  Dual maps size their sums
+and their precision by it.
 """
 
 from __future__ import annotations
@@ -67,6 +75,16 @@ class UmbralMap:
         """Exact admissibility verdict, or None when only the scan applies."""
         return None
 
+    def support(self, x: LaurentF):
+        """The least n with F_m(x) an exact zero for every m >= n; INF when
+        no such n is known."""
+        return INF
+
+    def moment_bound(self, x: LaurentF, n: int):
+        """A lower bound on vlb(F_m(x)) for every m >= n, growing without
+        limit in n, or None where none is known: INF from the support on."""
+        return INF if n >= self.support(x) else None
+
     def __repr__(self):
         return f"<{self.name} umbral map, prec={self.prec}>"
 
@@ -93,10 +111,16 @@ class _PowerMomentMap(UmbralMap):
         return pows[k]
 
     def admissibility_rule(self, x):
-        g = self.moment(x, 1)
-        ok = g.val_lower_bound() >= 1
+        ok = self.moment_bound(x, 1) is not None
         return AdmissibilityVerdict(ok, f"|{self.name}_1(x)| < 1 test",
                                     None if ok else 1)
+
+    def moment_bound(self, x, n):
+        # vlb(a * b) >= vlb(a) + vlb(b), so vlb(g^m) >= m * vlb(g)
+        b = self.moment(x, 1).val_lower_bound()
+        if b < 1:
+            return None
+        return n * b if n else 0
 
 
 class AdditiveMap(_PowerMomentMap):
@@ -174,6 +198,13 @@ class TwistedMap(UmbralMap):
 
     def admissibility_rule(self, x):
         return AdmissibilityVerdict(True, "twisted maps are admissible everywhere")
+
+    def support(self, x):
+        # at a polynomial x, e_k(x) has the factor x + eps with eps = -x once
+        # k > deg x, so T_n(x) = 0 once n has a q-adic digit past deg x
+        if x.prec != INF or x.v + len(x.codes) > 1:
+            return INF
+        return self.ctx.q ** ((-x.v if x.codes else -1) + 1)
 
 
 def admissible_heuristic(umap: UmbralMap,

@@ -28,7 +28,7 @@ from .duality import (
     compose_isos,
     merge_reports,
 )
-from .errors import UnknownClaimError
+from .errors import UmbralFlowError, UnknownClaimError
 from .fq import PolyA
 from .laurent import INF, LaurentF
 from .series import (
@@ -362,24 +362,29 @@ def claim_duality(cfg: Config) -> DualityReport:
 
 def claim_dual_binomial(cfg: Config) -> DualityReport:
     """The dual of the twisted map under the exp-at-one twist generator satisfies
-    the binomial theorem on the same samples as the twisted check."""
+    the binomial theorem at polynomial points, the twisted check's samples
+    wherever both draw degree 4 (q <= 3)."""
     target = 128
+    # a dual moment at a point of degree D sums over the twisted map's
+    # support, q^(D+1) terms: D is the largest degree whose support fits
+    # 256 terms, and at most 4
+    max_deg = max(deg for deg in range(5) if cfg.q ** (deg + 1) <= 256)
     cctx = cfg.carlitz_ctx()
     # same draws as claim_binomial_twisted: same derived seed
     rng = _rng(cfg, "binomial-twisted")
     smp = Sampler(cctx.field, rng, target)
     T = TwistedMap(cctx, target, inv_prec_pad=128)
-    iso58 = ex58_iso(cctx, plen(cfg.q, cfg.q ** 5), target + 128)
+    iso58 = ex58_iso(cctx, max_deg + 1, target + 128)
     dual = DualMap(T, iso58, prec=target, eval_len=target + 64)
     n_pairs = max(cfg.trials // 10, 1)
     reports = []
     for _ in range(n_pairs):
-        x = smp.poly_elem(4)
-        y = smp.poly_elem(4)
+        x = smp.poly_elem(max_deg)
+        y = smp.poly_elem(max_deg)
         reports.append(check_binomial(dual, x, y, cfg.q ** 3, target))
     return merge_reports(reports, claim="dual-binomial",
                          params={"prec": target, "n_max": cfg.q ** 3,
-                                 "pairs": n_pairs, "max_deg": 4})
+                                 "pairs": n_pairs, "max_deg": max_deg})
 
 
 def claim_geometric(cfg: Config) -> DualityReport:
@@ -581,16 +586,28 @@ def run_claim(name: str, cfg: Config) -> DualityReport:
 
 def run_verify(names, cfg: Config) -> dict:
     """Run claims in order and assemble the deterministic run report; a
-    one-line summary per claim goes to stderr as each claim finishes."""
+    one-line summary per claim goes to stderr as each claim finishes.
+
+    Invalid input (an unknown claim, or a field that does not exist, which
+    raises ``ValueError``) ends the run.  A claim that raises a package
+    error on valid input is that claim's failure: its entry holds the error
+    and ``passed: false``, and the later claims still run."""
     claims = []
     t_all = time.time()
     for name in names:
         t0 = time.time()
-        claims.append(run_claim(name, cfg).to_json())
-        c = claims[-1]
-        print(f"[{'pass' if c['passed'] else 'FAIL'}] {name}: "
-              f"trials={c['trials']} "
-              f"min_agreement={c['min_agreement_valuation']} "
+        try:
+            c = run_claim(name, cfg).to_json()
+            summary = (f"trials={c['trials']} "
+                       f"min_agreement={c['min_agreement_valuation']}")
+        except UnknownClaimError:
+            raise
+        except UmbralFlowError as e:
+            c = {"claim": name, "error": f"{type(e).__name__}: {e}",
+                 "passed": False}
+            summary = c["error"]
+        claims.append(c)
+        print(f"[{'pass' if c['passed'] else 'FAIL'}] {name}: {summary} "
               f"({time.time() - t0:.1f}s)", file=sys.stderr)
     print(f"total {time.time() - t_all:.1f}s", file=sys.stderr)
     return {

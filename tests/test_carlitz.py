@@ -177,3 +177,38 @@ def test_enumeration_cap_propagates(F2):
     cc = CarlitzCtx(F2, cap=8)
     with pytest.raises(EnumerationCapExceededError):
         cc.dk(3)
+
+
+@pytest.mark.parametrize("cc_name,kmax", [("cc2", 3), ("cc3", 2),
+                                          ("cc4", 2)])
+def test_dk_inv_below_valuation_matches_built_inverse(cc_name, kmax,
+                                                      request):
+    # 1/D_k lies at valuation k*q^k: below that precision dk_inv returns
+    # the zero that inverting the built D_k gives, and above it the inverse
+    field_ctx = request.getfixturevalue(cc_name).field
+    q = field_ctx.q
+    for k in range(kmax + 1):
+        fresh = CarlitzCtx(field_ctx)
+        built = LaurentF.from_poly(fresh.dk(k))
+        for prec in range(1, k * q ** k + 6):
+            got = CarlitzCtx(field_ctx).dk_inv(k, prec)
+            want = built.inv(prec=prec)
+            assert (got.v, got.codes, got.prec) == \
+                (want.v, want.codes, want.prec), (k, prec)
+
+
+def test_dk_inv_below_valuation_builds_nothing(F2, monkeypatch):
+    # a zero 1/D_k needs no D_k; a k past the enumeration cap still raises,
+    # as building its D_k would
+    cc = CarlitzCtx(F2, cap=64)
+
+    def unbuilt(k):
+        raise AssertionError(f"D_{k} built")
+
+    monkeypatch.setattr(cc, "dk", unbuilt)
+    assert cc.dk_inv(5, 100) == LaurentF.zero_at(F2, 100)  # 5 * 2^5 = 160
+    monkeypatch.undo()
+    with pytest.raises(EnumerationCapExceededError):
+        cc.dk_inv(6, 100)  # 2^7 = 128 > 64
+    with pytest.raises(EnumerationCapExceededError):
+        cc.dk(40)

@@ -198,8 +198,8 @@ _FLOW_CLAIMS = ("taylor", "naive-flow", "boundedness", "power-rule",
 def test_cli_verify_report_bytes_beyond_f2(capsys, monkeypatch, tag, claim):
     # the dual-map claims over F_3, F_4 and F_8, where p-power indexing and
     # the d > 1 interleave differ from F_2; saved reports, compared byte for
-    # byte.  dual-binomial over F_4 and F_8 exits 2 (ROADMAP item 1), so only
-    # its F_3 report is frozen.
+    # byte.  Only the F_3 dual-binomial report is frozen: over F_4 the claim
+    # fails on a precision shortfall (exit 1, ROADMAP item 2).
     monkeypatch.delenv("UMBRAL_FLOW_CAP", raising=False)
     expected = (Path(__file__).parent / "data" /
                 f"verify_{claim}_{tag}.json").read_text()
@@ -216,7 +216,7 @@ def test_cli_verify_flow_report_bytes_beyond_f2(capsys, monkeypatch, tag,
     # products run on d > 1 or odd-p arithmetic; saved reports, compared byte
     # for byte.  binomial-twisted over F_4 is a known failure (exit 1): its
     # failing report is frozen too.  Over F_8 binomial-twisted fails as well
-    # (ROADMAP item 1) and example58 takes about 5 s, so neither is frozen
+    # (ROADMAP item 2) and example58 takes about 5 s, so neither is frozen
     # there.
     monkeypatch.delenv("UMBRAL_FLOW_CAP", raising=False)
     expected = (Path(__file__).parent / "data" /
@@ -285,3 +285,74 @@ def test_cli_field_over_256_exits_2(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_duality_f9_exits_0(capsys):
+    # over F_9 the twisted leg's points have support 81, past eval_len 80;
+    # the dual sums run to the support, and the dual rule admits the points
+    argv = ["--p", "3", "--d", "2", "--modulus", "2", "2", "1",
+            "--trials", "8", "verify", "duality"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_cli_dual_binomial_degree_4_over_f3_is_not_refused(capsys):
+    # seed 7 draws degree-4 points over F_3, support 3^5 = 243, past
+    # eval_len 192: the truncated sums once made the scan refuse a point
+    # (exit 2).  The claim now runs and reports its agreement
+    argv = ["--p", "3", "--trials", "8", "--seed", "7",
+            "verify", "dual-binomial"]
+    assert main(argv) != 2
+    (claim,) = json.loads(capsys.readouterr().out)["claims"]
+    assert "error" not in claim and claim["trials"] == 28
+
+
+def test_cli_claim_error_keeps_other_reports(capsys, monkeypatch):
+    # a claim that raises on valid input is that claim's failure: the run
+    # goes on, every other claim keeps its own report, and the exit is 1
+    from umbral_flow import verify
+    from umbral_flow.errors import PreconditionFailedError
+
+    def broken(cfg):
+        raise PreconditionFailedError("injected")
+
+    monkeypatch.delenv("UMBRAL_FLOW_CAP", raising=False)
+    monkeypatch.setitem(verify.CLAIMS, "naive-flow", broken)
+    shape = ["--trials", "8", "--prec", "32", "--trunc", "8", "--basis", "6"]
+    assert main(shape + ["verify", "all"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert len(report["claims"]) == len(verify.CLAIMS)
+    cfg = Config(trials=8, prec=32, trunc=8, basis=6)
+    for name, entry in zip(verify.CLAIMS, report["claims"]):
+        if name == "naive-flow":
+            assert entry == {"claim": "naive-flow", "passed": False,
+                             "error": "PreconditionFailedError: injected"}
+        else:
+            assert entry == verify.run_claim(name, cfg).to_json(), name
+
+
+def test_cli_verify_all_over_f256_ends(tmp_path):
+    # over F_256 most claims pass the enumeration cap; each such claim is
+    # a failed entry, and the run ends promptly, small, and without a
+    # traceback
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    argv = ["--d", "8", "--modulus", "1", "1", "0", "1", "1", "0", "0", "0",
+            "1", "--trials", "4", "verify", "all"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(__file__).parents[1] / "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    env.pop("UMBRAL_FLOW_CAP", None)
+    proc = subprocess.run([sys.executable, "-m", "umbral_flow.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=tmp_path, env=env, preexec_fn=limit_memory)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    claims = json.loads(proc.stdout)["claims"]
+    assert len(claims) == 12
+    assert any("EnumerationCapExceededError" in c.get("error", "")
+               for c in claims)

@@ -396,6 +396,18 @@ def test_check_binomial_precondition(cc2):
         check_binomial(S, t, _unit_x(cc2.field, rng), 4, N)
 
 
+def test_check_binomial_held_to_cap(F2):
+    # (n_max + 1)(n_max + 2)/2 moment products: 231 for n_max = 20
+    from umbral_flow.carlitz import CarlitzCtx
+    from umbral_flow.errors import EnumerationCapExceededError
+
+    S = AdditiveMap(CarlitzCtx(F2, cap=230), N)
+    x = LaurentF(F2, 1, [1], N)
+    assert check_binomial(S, x, x, 19, N).passed  # 210 pairs
+    with pytest.raises(EnumerationCapExceededError):
+        check_binomial(S, x, x, 20, N)
+
+
 def test_dual_binomial_preserved(cc2):
     iso = ex58_iso(cc2, 4, N + 32)
     T = TwistedMap(cc2, N, inv_prec_pad=64)
@@ -472,3 +484,131 @@ def test_duality_claim_over_f4():
 
     rep = run_claim("duality", Config(p=2, d=2, modulus=(1, 1, 1), trials=4))
     assert rep.passed
+
+
+def test_dual_twisted_moment_at_eval_len_over_f9():
+    # over F_9 the twisted map at a degree-1 point has support q^2 = 81, one
+    # past the default eval_len of 80: the k = 80 dual moment is
+    # c_(80,80) T_80(x), at valuation -8, not a zero at precision 80
+    from umbral_flow.carlitz import CarlitzCtx
+    from umbral_flow.fq import field
+
+    cctx = CarlitzCtx(field(3, 2, (2, 2, 1)))
+    ctx = cctx.field
+    iso = ex58_iso(cctx, plen(ctx.q, 16), 64 + 32)
+    T = TwistedMap(cctx, 64, inv_prec_pad=64)
+    x = LaurentF.from_poly(PolyA.t(ctx) + PolyA.one(ctx))
+    dual = DualMap(T, iso, prec=64)
+    assert dual.eval_len == 80
+    got = dual.moment(x, 80)
+    want = DualMap(T, iso, prec=64, eval_len=200).moment(x, 80)
+    assert got.val_lower_bound() == want.val_lower_bound() == -8
+    assert (got - want).val_lower_bound() >= got.prec == 80
+
+
+def test_dual_first_moment_at_degree_4_over_f4(cc4):
+    # over F_4 the twisted map at a degree-4 point has support 4^5 = 1024,
+    # past eval_len 192: every sum runs to the support, so the value agrees
+    # with a longer eval_len's below its stated precision
+    T = TwistedMap(cc4, 128, inv_prec_pad=128)
+    iso = ex58_iso(cc4, 5, 256)
+    t = PolyA.t(cc4.field)
+    x = LaurentF.from_poly(t ** 4 + t + PolyA.one(cc4.field))
+    got = DualMap(T, iso, prec=128, eval_len=192).moment(x, 1)
+    want = DualMap(T, iso, prec=128, eval_len=400).moment(x, 1)
+    assert got.prec == 192
+    assert (got - want).val_lower_bound() >= got.prec
+
+
+def test_dual_rule_needs_integral_generator_and_tail_bound(cc2):
+    ctx = cc2.field
+    one = LaurentF.one(ctx)
+    S = AdditiveMap(cc2, N)
+    rng = random.Random(34)
+    x = _unit_x(ctx, rng)
+    integral = AdditiveIso(AdditiveSeries(ctx, [one, one]))
+    verdict = DualMap(S, integral, prec=N).admissibility_rule(x)
+    assert verdict.apparently_admissible
+    # a coefficient t makes H^(-1) non-integral: no rule, the scan decides
+    t = LaurentF.from_poly(PolyA.t(ctx))
+    wild = AdditiveIso(AdditiveSeries(ctx, [one, t]))
+    assert DualMap(S, wild, prec=N).admissibility_rule(x) is None
+    # an inner map without a tail bound: no rule either
+    bumped = PerturbedMap(S, 2, one)
+    assert bumped.moment_bound(x, 10) is None
+    assert DualMap(bumped, integral, prec=N).admissibility_rule(x) is None
+    # outside the unit ball the additive map has no bound, nor its dual a rule
+    assert DualMap(S, integral, prec=N).admissibility_rule(t) is None
+
+
+class _ScannedDual(DualMap):
+    def admissibility_rule(self, x):
+        return None
+
+
+class _ScannedBump(PerturbedMap):
+    def admissibility_rule(self, x):
+        return None
+
+
+def _forced_scan(umap):
+    """A twin of a dual or bumped dual map that has no exact rule."""
+    if isinstance(umap, PerturbedMap):
+        return _ScannedBump(_forced_scan(umap.base), umap.k_star, umap.delta)
+    return _ScannedDual(umap.inner, umap.iso, umap.prec, umap.eval_len)
+
+
+def test_dual_rule_matches_forced_scan(monkeypatch):
+    # at every sample point of the F_2 duality, geometric and dual-binomial
+    # claims, the exact rule of a dual (or bumped dual) map gives the
+    # verdict that the window scan gives
+    from umbral_flow import duality
+    from umbral_flow.config import Config
+    from umbral_flow.verify import run_claim
+
+    rule_of = duality.admissible_heuristic
+    seen = {}
+
+    def both(umap, x):
+        got = rule_of(umap, x)
+        if isinstance(umap, (DualMap, PerturbedMap)):
+            assert got.rule != "windowed decay scan"
+            scan = rule_of(_forced_scan(umap), x)
+            assert scan.rule == "windowed decay scan"
+            assert got.apparently_admissible == scan.apparently_admissible
+            seen[umap.name] = seen.get(umap.name, 0) + 1
+        return got
+
+    monkeypatch.setattr(duality, "admissible_heuristic", both)
+    cfg = Config(p=2, prec=64, trunc=16, basis=12, trials=20, seed=0)
+    for claim in ("duality", "geometric", "dual-binomial"):
+        assert run_claim(claim, cfg).passed
+    assert seen == {"dual(additive)": 10, "dual(twisted)": 22,
+                    "dual(additive)+bump@5": 1, "dual(twisted)+bump@6": 1}
+
+
+def test_dual_moment_counts_pinned(monkeypatch):
+    # the dual moments each dual-map claim computes at a small F_2 config.
+    # With the window scan deciding dual admissibility, duality computed
+    # 131 and geometric 146
+    from umbral_flow import duality
+    from umbral_flow.config import Config
+    from umbral_flow.verify import run_claim
+
+    calls = [0]
+    umbral_eval_of = duality.umbral_eval
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return umbral_eval_of(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "umbral_eval", counted)
+    cfg = Config(p=2, prec=32, trunc=8, basis=6, trials=8, seed=0)
+    got = {}
+    for claim in ("duality", "geometric", "dual-binomial", "example57",
+                  "iso-roundtrip"):
+        calls[0] = 0
+        run_claim(claim, cfg)
+        got[claim] = calls[0]
+    assert got == {"duality": 70, "geometric": 65, "dual-binomial": 16,
+                   "example57": 8, "iso-roundtrip": 96}

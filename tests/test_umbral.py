@@ -94,6 +94,51 @@ def test_twisted_moments_vanish_beyond_degree_support(cc2):
     assert not T.moment(x, 3).is_zero_at_prec()
 
 
+@pytest.mark.parametrize("cc_name", ["cc2", "cc3", "cc4"])
+def test_twisted_support_is_tight(cc_name, request):
+    # T_n(x) = 0 for every n >= q^(deg x + 1) and not at the last n below;
+    # the tail bound is INF exactly from there on
+    cctx = request.getfixturevalue(cc_name)
+    ctx, q = cctx.field, cctx.field.q
+    T = TwistedMap(cctx, N)
+    t, one = PolyA.t(ctx), PolyA.one(ctx)
+    for poly, deg in ((PolyA.zero(ctx), -1), (one, 0), (t + one, 1),
+                      (t * t, 2)):
+        x = LaurentF.from_poly(poly)
+        support = q ** (deg + 1)
+        assert T.support(x) == support
+        assert T.moment_bound(x, support) == INF
+        assert T.moment_bound(x, support - 1) is None
+        if support > 1:
+            assert not T.moment(x, support - 1).is_zero_at_prec()
+        for n in range(support, support + 2 * q):
+            assert T.moment(x, n).is_exact_zero(), n
+    # no support at a point that is not an exact polynomial
+    assert T.support(LaurentF.from_poly(t, prec=40)) == INF
+    assert T.support(LaurentF(ctx, 1, [1], INF)) == INF  # 1/t
+    assert T.moment_bound(LaurentF(ctx, 1, [1], INF), 10 ** 6) is None
+
+
+def test_power_map_tail_bound(cc2):
+    # n * vlb(g(x)) bounds every later moment, and only in the unit ball
+    rng = random.Random(41)
+    S = AdditiveMap(cc2, N)
+    G = GeometricMap(cc2, N, lambda x: x * x + x, "square-plus-x")
+    for umap in (S, G):
+        x = LaurentF(cc2.field, rng.randint(1, 3), [1] +
+                     [rng.randrange(2) for _ in range(N)], N)
+        b = umap.moment(x, 1).val_lower_bound()
+        assert umap.moment_bound(x, 0) == 0
+        for n in range(1, 12):
+            assert umap.moment_bound(x, n) == n * b
+            for m in range(n, 14):
+                assert umap.moment(x, m).val_lower_bound() >= \
+                    umap.moment_bound(x, n), (n, m)
+    t = LaurentF.from_poly(PolyA.t(cc2.field))
+    assert S.moment_bound(t, 5) is None
+    assert S.moment_bound(LaurentF.one(cc2.field), 5) is None
+
+
 def test_geometric_map_structural_powers(cc2):
     G = GeometricMap(cc2, N, lambda x: x * x + x, "square-plus-x")
     rng = random.Random(5)
