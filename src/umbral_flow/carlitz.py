@@ -95,23 +95,28 @@ class CarlitzCtx:
         return prod
 
     def exp_sum(self, x: LaurentF, prec: int) -> LaurentF:
-        """sum_k x^(q^k) / D_k for k <= K_MAX, stopped once ``window``
-        consecutive terms sit at valuation >= prec.  No domain restriction:
-        term valuations q^k (v(x) + k) eventually increase for every x, so
-        the window rule is a sound stopping criterion even when |x| >= 1.
+        """sum_k x^(q^k) / D_k for k <= K_MAX, stopped by the window rule of
+        ``_window_sum``.  No domain restriction: term valuations
+        q^k (v(x) + k) eventually increase for every x, so the window rule
+        is a sound stopping criterion even when |x| >= 1.
         """
         if x.is_exact_zero():
             return x
         q = self.field.q
+        vx = x.val_lower_bound()
+        # 1/D_k accurate enough that the whole term is accurate to prec
+        return self._window_sum(lambda k: x.q_power(k) * self.dk_inv(
+            k, max(prec, prec - q ** k * vx) + 8), prec)
+
+    def _window_sum(self, term, prec: int) -> LaurentF:
+        """sum_k term(k) for k <= K_MAX, stopped once ``window`` consecutive
+        terms sit at valuation >= prec (an exact zero among them)."""
         acc = LaurentF.zero(self.field)
         quiet = 0
-        vx = x.val_lower_bound()
         for k in range(K_MAX + 1):
-            # 1/D_k accurate enough that the whole term is accurate to prec
-            need = max(prec, prec - q ** k * vx) + 8
-            term = x.q_power(k) * self.dk_inv(k, need)
-            acc = acc + term
-            if term.val_lower_bound() >= prec:
+            tk = term(k)
+            acc = acc + tk
+            if tk.val_lower_bound() >= prec:
                 quiet += 1
                 if quiet >= self.window:
                     return acc

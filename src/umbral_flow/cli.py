@@ -17,7 +17,7 @@ from .carlitz import CarlitzCtx
 from .config import Config
 from .duality import AdditiveIso, DualMap
 from .errors import ParseError, UmbralFlowError, UnknownClaimError
-from .fq import FqElem, PolyA
+from .fq import PolyA
 from .laurent import INF, LaurentF
 from .series import AdditiveSeries, TruncSeries
 from .umbral import AdditiveMap, GeometricMap, NaiveMap, TwistedMap, apply_flow
@@ -52,71 +52,59 @@ def _split_terms(text: str):
     return terms
 
 
-def _parse_coeff(ctx, text: str, pos: int) -> FqElem:
-    """integer, or an expression in u: 'u', 'u^2', '2u', 'u+1', ..."""
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
+def _parse_terms(ctx, text: str, pos: int, var: str, coeff):
+    """{k: c_k} for the sum of c_k var^k that ``text`` spells: terms joined
+    by + and -, each 'c', 'var', 'var^k' or 'c*var^k', where coeff(ctx, c,
+    position) gives the code of c.  ``pos`` is where ``text`` starts."""
     if not text:
-        raise ParseError("empty coefficient", pos)
-    acc = 0
-    for sign, term, tpos in _split_terms(text):
-        term = term.strip()
-        if not term:
-            raise ParseError("empty coefficient term", pos + tpos)
-        num, upow = 1, 0
-        if "u" in term:
-            head, _, tail = term.partition("u")
-            head = head.rstrip("*").strip()
-            num = int(head) if head else 1
-            upow = 1
-            if tail.startswith("^"):
-                upow = int(tail[1:])
-                tail = ""
-            elif tail:
-                raise ParseError(f"bad coefficient term {term!r}", pos + tpos)
-            if upow and ctx.d == 1:
-                raise ParseError("'u' needs an extension field (d > 1)",
-                                 pos + tpos)
-        else:
-            try:
-                num = int(term)
-            except ValueError:
-                raise ParseError(f"bad coefficient term {term!r}", pos + tpos)
-        unit = ctx.pow_c(ctx.enc([0, 1]), upow) if upow else 1
-        code = ctx.mul_c(ctx.enc([num]), unit)
-        code = code if sign > 0 else ctx.neg_c(code)
-        acc = ctx.add_c(acc, code)
-    return FqElem(ctx, acc)
-
-
-def parse_poly(ctx, text: str) -> PolyA:
-    """Parse the polynomial grammar into an element of A = F_q[t]."""
-    text = text.replace(" ", "")
-    if not text:
-        raise ParseError("empty element text", 0)
+        raise ParseError(f"empty expression in {var}", pos)
     codes = {}
-    for sign, term, pos in _split_terms(text):
+    for sign, term, tpos in _split_terms(text):
+        at = pos + tpos
         if not term:
-            raise ParseError("empty term", pos)
-        if "t" in term:
-            coef_txt, _, tail = term.rpartition("t")
-            coef_txt = coef_txt.rstrip("*")
+            raise ParseError("empty term", at)
+        head, found, tail = term.rpartition(var)
+        if found:
             k = 1
             if tail.startswith("^"):
                 try:
                     k = int(tail[1:])
                 except ValueError:
-                    raise ParseError(f"bad exponent {tail[1:]!r}", pos)
+                    raise ParseError(f"bad exponent {tail[1:]!r}", at)
             elif tail:
-                raise ParseError(f"trailing text {tail!r}", pos)
-            coef = _parse_coeff(ctx, coef_txt, pos) if coef_txt \
-                else FqElem(ctx, 1)
+                raise ParseError(f"trailing text {tail!r}", at)
+            head = head.rstrip("*")
+            code = coeff(ctx, head, at) if head else 1
         else:
-            k = 0
-            coef = _parse_coeff(ctx, term, pos)
-        code = coef.code if sign > 0 else ctx.neg_c(coef.code)
+            k, code = 0, coeff(ctx, term, at)
+        code = code if sign > 0 else ctx.neg_c(code)
         codes[k] = ctx.add_c(codes.get(k, 0), code)
+    return codes
+
+
+def _parse_int(ctx, text: str, pos: int) -> int:
+    try:
+        return ctx.enc([int(text)])
+    except ValueError:
+        raise ParseError(f"bad coefficient term {text!r}", pos)
+
+
+def _parse_coeff(ctx, text: str, pos: int) -> int:
+    """The code of an integer, or of an expression in u: 'u', 'u^2', '2u',
+    '(u+1)', ..."""
+    if text.startswith("(") and text.endswith(")"):
+        text, pos = text[1:-1], pos + 1
+    acc = 0
+    for k, code in _parse_terms(ctx, text, pos, "u", _parse_int).items():
+        if k and ctx.d == 1:
+            raise ParseError("'u' needs an extension field (d > 1)", pos)
+        acc = ctx.add_c(acc, ctx.mul_c(code, ctx.pow_c(ctx.enc([0, 1]), k)))
+    return acc
+
+
+def parse_poly(ctx, text: str) -> PolyA:
+    """Parse the polynomial grammar into an element of A = F_q[t]."""
+    codes = _parse_terms(ctx, text.replace(" ", ""), 0, "t", _parse_coeff)
     n = max(codes) + 1 if codes else 0
     return PolyA(ctx, [codes.get(i, 0) for i in range(n)])
 

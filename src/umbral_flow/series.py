@@ -55,7 +55,10 @@ def plen(p: int, span: int) -> int:
     return max(m, 1)
 
 
-@lru_cache(maxsize=None)
+# one pass of a benchmark workload looks up at most a few thousand (n, k, p)
+# keys; an unbounded cache would keep every pair of a binomial check for
+# the life of the process, up to 10^6 entries and about 120 MB
+@lru_cache(maxsize=1 << 16)
 def binom_mod_p(n, k, p):
     """C(n, k) mod p by Lucas' digitwise rule; never touches big factorials."""
     if k < 0 or k > n:
@@ -211,7 +214,7 @@ class TruncSeries:
             if sa and sb and n * (sa[1] - sa[0] + sb[1] - sb[0] - 1) <= \
                     _PACK_SLOTS_PER_PAIR * _pair_count(self.terms,
                                                        other.terms, n):
-                return self._mul_packed(other)
+                return self._mul_packed(other, n, sa, sb)
         return self._mul_loop(other)
 
     def _mul_loop(self, other):
@@ -230,25 +233,20 @@ class TruncSeries:
                 out[i + j] = out[i + j] + a * b
         return TruncSeries(self.ctx, out)
 
-    def _mul_packed(self, other):
-        # 2-D Kronecker substitution: term i's codes go to offset
-        # i*W + (v_i - v_min) of one code vector per operand, with W the sum
-        # of the two digit spans less one, so that the digits of output
-        # coefficient k fill block k of one convolution and no block spills
-        # into the next.  The schoolbook sum truncates at the least
+    def _mul_packed(self, other, n, sa, sb):
+        # 2-D Kronecker substitution on the window n, with sa and sb the
+        # operands' digit spans there (both coded): term i's codes go to
+        # offset i*W + (v_i - v_min) of one code vector per operand, with W
+        # the sum of the two digit spans less one, so that the digits of
+        # output coefficient k fill block k of one convolution and no block
+        # spills into the next.  The schoolbook sum truncates at the least
         # precision of its pair products, so block k is cut at prec_k, the
         # min over pairs i + j = k of min(prec_i + vlb_j, prec_j + vlb_i).
         ctx = self.ctx
-        n = min(self.trunc, other.trunc)
-        sa = _digit_span(self.terms, n)
-        sb = _digit_span(other.terms, n)
-        if sa and sb:
-            width = sa[1] - sa[0] + sb[1] - sb[0] - 1
-            digits = ctx.convolve(_pack(self.terms, n, sa[0], width),
-                                  _pack(other.terms, n, sb[0], width))
-            v = sa[0] + sb[0]
-        else:
-            width, digits, v = 0, b"", 0
+        width = sa[1] - sa[0] + sb[1] - sb[0] - 1
+        digits = ctx.convolve(_pack(self.terms, n, sa[0], width),
+                              _pack(other.terms, n, sb[0], width))
+        v = sa[0] + sb[0]
         precs = [INF] * n
         bs = [(j, b.prec, b.val_lower_bound()) for j, b in other.terms]
         for i, a in self.terms:

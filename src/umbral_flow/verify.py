@@ -7,6 +7,13 @@ products against moments of negative valuation eat precision, and the pads
 are sized so the survivors still carry the full target.  Series are sampled
 with coefficients in the integer ring O_F, which is where the bounded-series
 theory lives anyway.
+
+Every claim computes each quantity through the package's one
+implementation of it, and a family of claims runs one body: ``taylor`` and
+``naive-flow`` share the flow-against-Taylor-shift check, and
+``binomial-twisted`` and ``dual-binomial`` the binomial check, with its
+samples.  ``example58`` sums e_C(1)^(q^k) against the twisted map's basis
+e_k(x)/D_k in the loop that stops the Carlitz exponential.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import random
 import sys
 import time
 
-from .carlitz import K_MAX, CarlitzCtx
+from .carlitz import CarlitzCtx
 from .config import Config
 from .duality import (
     AdditiveIso,
@@ -147,43 +154,35 @@ def _compositions(n, h):
 # claims
 
 
-def claim_taylor(cfg: Config) -> DualityReport:
-    """Additive flow equals the Taylor shift by x, coefficientwise."""
-    cctx = cfg.carlitz_ctx()
-    rng = _rng(cfg, "taylor")
-    smp = Sampler(cctx.field, rng, cfg.prec)
-    S = AdditiveMap(cctx, cfg.prec)
-    rep = DualityReport("taylor", {"prec": cfg.prec, "trunc": cfg.trunc,
-                                   "trials": cfg.trials})
-    for i in range(cfg.trials):
+def _flow_vs_shift(cfg, claim, umap, n_trials, shift) -> DualityReport:
+    """The flow of a power map at a unit-ball x against the Taylor shift
+    by shift(x), coefficientwise, on seeded bounded series."""
+    smp = Sampler(umap.ctx, _rng(cfg, claim), cfg.prec)
+    rep = DualityReport(claim, {"prec": cfg.prec, "trunc": cfg.trunc,
+                                "trials": n_trials})
+    for i in range(n_trials):
         P = smp.bounded_series(cfg.trunc)
         x = smp.unit_ball()
-        lhs = apply_flow(S, x, P)
-        rhs = taylor_shift(P, x)
+        lhs = apply_flow(umap, x, P)
+        rhs = taylor_shift(P, shift(x))
         rep.record(series_agreement_valuation(lhs, rhs), cfg.prec,
                    {"trial": i})
         rep.trials += 1
     return rep
+
+
+def claim_taylor(cfg: Config) -> DualityReport:
+    """Additive flow equals the Taylor shift by x, coefficientwise."""
+    S = AdditiveMap(cfg.carlitz_ctx(), cfg.prec)
+    return _flow_vs_shift(cfg, "taylor", S, cfg.trials, lambda x: x)
 
 
 def claim_naive_flow(cfg: Config) -> DualityReport:
     """Naive flow equals the Taylor shift by the Carlitz exponential."""
     cctx = cfg.carlitz_ctx()
-    rng = _rng(cfg, "naive-flow")
-    smp = Sampler(cctx.field, rng, cfg.prec)
     NM = NaiveMap(cctx, cfg.prec)
-    n_trials = max(cfg.trials // 2, 1)
-    rep = DualityReport("naive-flow", {"prec": cfg.prec, "trunc": cfg.trunc,
-                                       "trials": n_trials})
-    for i in range(n_trials):
-        P = smp.bounded_series(cfg.trunc)
-        x = smp.unit_ball()
-        lhs = apply_flow(NM, x, P)
-        rhs = taylor_shift(P, cctx.exp(x, cfg.prec))
-        rep.record(series_agreement_valuation(lhs, rhs), cfg.prec,
-                   {"trial": i})
-        rep.trials += 1
-    return rep
+    return _flow_vs_shift(cfg, "naive-flow", NM, max(cfg.trials // 2, 1),
+                          lambda x: cctx.exp(x, cfg.prec))
 
 
 def claim_boundedness(cfg: Config) -> DualityReport:
@@ -265,23 +264,34 @@ def claim_power_rule(cfg: Config) -> DualityReport:
     return rep
 
 
-def claim_binomial_twisted(cfg: Config) -> DualityReport:
-    """Carlitz's binomial theorem for the twisted moments at polynomial
-    points; pinned at precision 128 and n up to q^3."""
+def _binomial_claim(cfg, claim, max_deg, dual) -> DualityReport:
+    """Carlitz's binomial theorem at pairs of polynomial points of degree
+    at most ``max_deg``, pinned at precision 128 and n up to q^3, for the
+    twisted map or for its dual under the exp-at-one twist generator."""
     target = 128
     cctx = cfg.carlitz_ctx()
-    rng = _rng(cfg, "binomial-twisted")
-    smp = Sampler(cctx.field, rng, target)
-    T = TwistedMap(cctx, target, inv_prec_pad=128)
+    # both claims draw from one derived seed, so they share their samples
+    # wherever both draw degree 4
+    smp = Sampler(cctx.field, _rng(cfg, "binomial-twisted"), target)
+    umap = TwistedMap(cctx, target, inv_prec_pad=128)
+    if dual:
+        umap = DualMap(umap, ex58_iso(cctx, max_deg + 1, target + 128),
+                       prec=target, eval_len=target + 64)
     n_pairs = max(cfg.trials // 10, 1)
     reports = []
     for _ in range(n_pairs):
-        x = smp.poly_elem(4)
-        y = smp.poly_elem(4)
-        reports.append(check_binomial(T, x, y, cfg.q ** 3, target))
-    return merge_reports(reports, claim="binomial-twisted",
+        x = smp.poly_elem(max_deg)
+        y = smp.poly_elem(max_deg)
+        reports.append(check_binomial(umap, x, y, cfg.q ** 3, target))
+    return merge_reports(reports, claim=claim,
                          params={"prec": target, "n_max": cfg.q ** 3,
-                                 "pairs": n_pairs, "max_deg": 4})
+                                 "pairs": n_pairs, "max_deg": max_deg})
+
+
+def claim_binomial_twisted(cfg: Config) -> DualityReport:
+    """Carlitz's binomial theorem for the twisted moments at polynomial
+    points of degree at most 4."""
+    return _binomial_claim(cfg, "binomial-twisted", 4, dual=False)
 
 
 def claim_flow_composition(cfg: Config) -> DualityReport:
@@ -321,16 +331,13 @@ def claim_duality(cfg: Config) -> DualityReport:
     T = TwistedMap(cctx, cfg.prec, inv_prec_pad=64)
     dualS = DualMap(S, isoA, prec=cfg.prec)
     dualT = DualMap(T, iso58, prec=cfg.prec)
+    # one (inner, iso, dual, draw) row per leg; perturbations alternate
+    legs = [(S, isoA, dualS, smp.unit_ball),
+            (T, iso58, dualT, lambda: smp.poly_elem(glen - 1, nonzero=True))]
     n_x = max(cfg.trials // 4, 1)
-    reports = []
-    for _ in range(n_x):
-        x = smp.unit_ball()
-        reports.append(check_duality_diagram(
-            S, isoA, x, cfg.basis, cfg.trunc, cfg.prec, dual_map=dualS))
-    for _ in range(n_x):
-        xt = smp.poly_elem(glen - 1, nonzero=True)
-        reports.append(check_duality_diagram(
-            T, iso58, xt, cfg.basis, cfg.trunc, cfg.prec, dual_map=dualT))
+    reports = [check_duality_diagram(inner, iso, draw(), cfg.basis,
+                                     cfg.trunc, cfg.prec, dual_map=dual)
+               for inner, iso, dual, draw in legs for _ in range(n_x)]
     merged = merge_reports(reports, claim="duality", params={
         "prec": cfg.prec, "trunc": cfg.trunc, "basis": cfg.basis,
         "x_per_leg": n_x})
@@ -340,16 +347,10 @@ def claim_duality(cfg: Config) -> DualityReport:
     undetected = 0
     for i in range(n_pert):
         k_star = rng.randrange(1, cfg.basis)
-        if i % 2 == 0:
-            x = smp.unit_ball()
-            bumped = PerturbedMap(dualS, k_star, one)
-            pr = check_duality_diagram(S, isoA, x, cfg.basis, cfg.trunc,
-                                       cfg.prec, dual_map=bumped)
-        else:
-            x = smp.poly_elem(glen - 1, nonzero=True)
-            bumped = PerturbedMap(dualT, k_star, one)
-            pr = check_duality_diagram(T, iso58, x, cfg.basis, cfg.trunc,
-                                       cfg.prec, dual_map=bumped)
+        inner, iso, dual, draw = legs[i % 2]
+        pr = check_duality_diagram(inner, iso, draw(), cfg.basis, cfg.trunc,
+                                   cfg.prec,
+                                   dual_map=PerturbedMap(dual, k_star, one))
         merged.trials += 1
         if pr.passed:
             undetected += 1
@@ -361,30 +362,14 @@ def claim_duality(cfg: Config) -> DualityReport:
 
 
 def claim_dual_binomial(cfg: Config) -> DualityReport:
-    """The dual of the twisted map under the exp-at-one twist generator satisfies
-    the binomial theorem at polynomial points, the twisted check's samples
-    wherever both draw degree 4 (q <= 3)."""
-    target = 128
+    """The dual of the twisted map under the exp-at-one twist generator
+    satisfies the binomial theorem at polynomial points, the twisted
+    check's samples wherever both draw degree 4 (q <= 3)."""
     # a dual moment at a point of degree D sums over the twisted map's
     # support, q^(D+1) terms: D is the largest degree whose support fits
     # 256 terms, and at most 4
     max_deg = max(deg for deg in range(5) if cfg.q ** (deg + 1) <= 256)
-    cctx = cfg.carlitz_ctx()
-    # same draws as claim_binomial_twisted: same derived seed
-    rng = _rng(cfg, "binomial-twisted")
-    smp = Sampler(cctx.field, rng, target)
-    T = TwistedMap(cctx, target, inv_prec_pad=128)
-    iso58 = ex58_iso(cctx, max_deg + 1, target + 128)
-    dual = DualMap(T, iso58, prec=target, eval_len=target + 64)
-    n_pairs = max(cfg.trials // 10, 1)
-    reports = []
-    for _ in range(n_pairs):
-        x = smp.poly_elem(max_deg)
-        y = smp.poly_elem(max_deg)
-        reports.append(check_binomial(dual, x, y, cfg.q ** 3, target))
-    return merge_reports(reports, claim="dual-binomial",
-                         params={"prec": target, "n_max": cfg.q ** 3,
-                                 "pairs": n_pairs, "max_deg": max_deg})
+    return _binomial_claim(cfg, "dual-binomial", max_deg, dual=True)
 
 
 def claim_geometric(cfg: Config) -> DualityReport:
@@ -460,31 +445,26 @@ def claim_example57(cfg: Config) -> DualityReport:
 
 def claim_example58(cfg: Config) -> DualityReport:
     """Closed identity: sum_k e_C(1)^(q^k) e_k(x)/D_k = e_C(x) at the four
-    pinned polynomial points, to precision 48."""
+    pinned polynomial points, to precision 48.  The sum runs over the
+    twisted map's basis e_k(x)/D_k, stopped by the Carlitz exponential's
+    window rule; an exact-zero basis value (k > deg x) is that term."""
     target = 48
     cctx = cfg.carlitz_ctx()
     ctx = cctx.field
     rep = DualityReport("example58", {"prec": target, "window": cfg.window})
     e1 = cctx.exp_at_one(target + 32)
+    T = TwistedMap(cctx, target)
     t = PolyA.t(ctx)
     one = PolyA.one(ctx)
     points = [t, t + one, t * t, t * t + t + one]
+
+    def term(x, k):
+        b = T.basis_value(x, k)
+        return b if b.is_exact_zero() else e1.q_power(k) * b
+
     for poly in points:
         x = LaurentF.from_poly(poly)
-        acc = LaurentF.zero(ctx)
-        quiet = 0
-        k = 0
-        while quiet < cfg.window and k <= K_MAX:
-            ekx = cctx.ek(k, x)
-            if ekx.is_exact_zero():
-                quiet += 1
-                k += 1
-                continue
-            need = target + 32 - min(0, ekx.val_lower_bound())
-            term = e1.q_power(k) * ekx * cctx.dk_inv(k, need)
-            acc = acc + term
-            quiet = quiet + 1 if term.val_lower_bound() >= target else 0
-            k += 1
+        acc = cctx._window_sum(lambda k: term(x, k), target)
         agreement = (acc - cctx.exp_sum(x, target)).val_lower_bound()
         rep.record(agreement, target, {"x": repr(poly)})
         rep.trials += 1
@@ -528,14 +508,12 @@ def claim_iso_roundtrip(cfg: Config) -> DualityReport:
     # (ii) dual of dual restores the moments
     S = AdditiveMap(cctx, cfg.prec)
     T = TwistedMap(cctx, cfg.prec, inv_prec_pad=64)
-    eval_len = cfg.prec + 16
-    inv_len = plen(cfg.p, eval_len)
     for i in range(n):
         use_twisted = i % 2 == 1
         base = T if use_twisted else S
         iso = AdditiveIso(random_generator())
-        back = iso.inverse_iso(length=inv_len)
         once = DualMap(base, iso, prec=cfg.prec)
+        back = iso.inverse_iso(length=plen(cfg.p, once.eval_len))
         twice = DualMap(once, back, prec=cfg.prec)
         x = smp.poly_elem(2, nonzero=True) if use_twisted else smp.unit_ball()
         for k in range(9):

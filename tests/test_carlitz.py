@@ -173,6 +173,30 @@ def test_exp_sum_entire_at_polynomials(cc2):
     assert out.prec >= 32
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_example58_builds_no_q_power_past_the_points(p, monkeypatch):
+    # the closed identity sums e_C(1)^(q^k) e_k(x)/D_k, and e_k(x) is an
+    # exact zero for k past deg x, at most 2 at the pinned points.  Such a
+    # term is that zero, so e_C(1)^(q^k), whose codes lie q^k apart, is
+    # built only for k <= 2, not up to the end of the window
+    from umbral_flow.config import Config
+    from umbral_flow.verify import run_claim
+
+    cfg = Config(p=p, trials=8)
+    e1 = cfg.carlitz_ctx().exp_at_one(48 + 32)
+    q_power = LaurentF.q_power
+    ks = []
+
+    def spy(self, k):
+        if (self.v, self.codes, self.prec) == (e1.v, e1.codes, e1.prec):
+            ks.append(k)
+        return q_power(self, k)
+
+    monkeypatch.setattr(LaurentF, "q_power", spy)
+    assert run_claim("example58", cfg).passed
+    assert ks and max(ks) <= 2
+
+
 def test_enumeration_cap_propagates(F2):
     cc = CarlitzCtx(F2, cap=8)
     with pytest.raises(EnumerationCapExceededError):

@@ -38,7 +38,7 @@ def test_parse_poly_extension_field(F4):
     assert got2.coeff(1) == u * u
 
 
-def test_parse_errors(F2):
+def test_parse_errors(F2, F4):
     with pytest.raises(ParseError):
         parse_poly(F2, "")
     with pytest.raises(ParseError):
@@ -47,12 +47,13 @@ def test_parse_errors(F2):
         parse_poly(F2, "w+1")
     with pytest.raises(ParseError):
         parse_poly(F2, "(t+1")
-    err = None
-    try:
-        parse_poly(F2, "u*t")
-    except ParseError as e:
-        err = e
-    assert err is not None and err.position is not None
+    # a bad exponent or coefficient inside a u-expression is a ParseError
+    # with a position too, never a bare ValueError from int()
+    for text, field_ctx in (("u*t", F2), ("u^x*t", F4), ("xu*t", F4),
+                            ("()*t", F4)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(field_ctx, text)
+        assert err.value.position is not None
 
 
 def test_parse_element_json_file(tmp_path, F2):

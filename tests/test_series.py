@@ -58,6 +58,14 @@ def test_binomial_examples():
         assert binom_mod_p(n, 0, 7) == 1
 
 
+def test_binom_mod_p_cache_is_bounded():
+    bound = binom_mod_p.cache_info().maxsize
+    assert bound is not None
+    for n in range(10 ** 7, 10 ** 7 + bound + 100):
+        binom_mod_p(n, 3, 2)
+    assert binom_mod_p.cache_info().currsize == bound
+
+
 # -- Hasse derivatives and Taylor shifts ---------------------------------------
 
 def test_hasse_examples(F2):
@@ -253,10 +261,24 @@ def _product_case(draw):
 @given(_product_case())
 @settings(max_examples=300, deadline=None)
 def test_packed_product_matches_loop(case):
+    # a product with no coded term on one side never reaches the packed
+    # path; it is checked through * alone
     a, b = case
     ref = a._mul_loop(b)
-    assert a._mul_packed(b) == ref
+    n, sa, sb = _spans(a, b)
+    if sa and sb:
+        assert a._mul_packed(b, n, sa, sb) == ref
     assert a * b == ref
+
+
+def _spans(a, b):
+    n = min(a.trunc, b.trunc)
+    return n, series._digit_span(a.terms, n), series._digit_span(b.terms, n)
+
+
+def _packed(a, b):
+    """a._mul_packed(b) with the window and digit spans that * passes it."""
+    return a._mul_packed(b, *_spans(a, b))
 
 
 def _span_codes(ctx, rng, span):
@@ -293,7 +315,7 @@ def test_packed_product_slot_widths(name, monkeypatch):
             LaurentF(ctx, 0, [rng.randrange(1, ctx.q) for _ in range(L)],
                      INF) for _ in range(2)]) for _ in range(2))
         del widths[:]
-        got = a._mul_packed(b)
+        got = _packed(a, b)
         assert widths[0] == (3 * L - 1, nb)
         assert got == a._mul_loop(b)
 
@@ -303,7 +325,7 @@ def test_series_mul_dispatch(monkeypatch):
     # the switch exactly at _PACK_SLOTS_PER_PAIR slots per term pair; a
     # field whose convolution does not pack (F_32: 2^9 > 256) never packs
     def refuse(path):
-        def mul(self, other):
+        def mul(self, *args):
             raise AssertionError(path)
         return mul
 
