@@ -85,7 +85,10 @@ class CarlitzCtx:
         return val
 
     def ek(self, k: int, x: LaurentF) -> LaurentF:
-        """e_k(x) = prod over deg(eps) < k of (x + eps); e_0(x) = x."""
+        """e_k(x) = prod over deg(eps) < k of (x + eps); e_0(x) = x: the
+        exact zero, from no factor, at a polynomial x of degree < k."""
+        if x.poly_degree() < k and self.field.q ** (k + 1) <= self.cap:
+            return LaurentF.zero(self.field)
         prod = None
         for eps in enumerate_polys(self.field, k, False, cap=self.cap):
             factor = x + LaurentF.from_poly(eps)

@@ -58,7 +58,7 @@ from .errors import (
     PreconditionFailedError,
     TruncationMismatchError,
 )
-from .laurent import INF, LaurentF
+from .laurent import INF, LaurentF, product_sum
 from .series import (
     AdditiveSeries,
     TruncSeries,
@@ -416,13 +416,9 @@ def check_binomial(umap: UmbralMap, x: LaurentF, y: LaurentF, n_max: int,
     s = x + y
     for n in range(n_max + 1):
         lhs = umap.moment(s, n)
-        acc = LaurentF.zero(umap.ctx)
-        for k in range(n + 1):
-            b = binom_mod_p(n, k, p)
-            if b == 0:
-                continue
-            term = umap.moment(x, k) * umap.moment(y, n - k)
-            acc = acc + (term if b == 1 else term.scale(b))
+        acc = product_sum(umap.ctx, [
+            (umap.moment(x, k).scale(b), umap.moment(y, n - k))
+            for k in range(n + 1) if (b := binom_mod_p(n, k, p))])
         agreement = (lhs - acc).val_lower_bound()
         rep.record(agreement, prec, {"x": _key_of(x), "y": _key_of(y), "n": n})
         rep.trials += 1

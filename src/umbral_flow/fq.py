@@ -21,11 +21,13 @@ Code vectors are ``bytes``, one code per byte, lowest index first, and the
   counts of non-zero codes.  For p = 2 each operand splits into d bit
   planes; the d^2 plane products combine by XOR into 2d-1 product planes,
   which u^d = sum_(i<d) f_i u^i folds down to d, and one mask reads each
-  slot's low bit.  For odd p each code's base-p digits share one integer,
-  and the unreduced product digits of one coefficient fold into one byte
-  that a 256-entry table reduces mod f(u).  Short products and larger
-  fields take the per-coefficient table loop, the reference for the packed
-  paths.
+  slot's low bit.  For odd p each code's base-p digits share one integer;
+  a slot wider than one byte is read through tables of 256^j mod p, and
+  the unreduced product digits of one coefficient fold into one byte that
+  a 256-entry table reduces mod f(u).  Short products and larger fields
+  take the per-coefficient table loop, the reference for the packed paths;
+* ``convolve_sum`` over p = 2 XORs all its shifted plane products into one
+  set of 2d-1 big ints, unpacked once; other fields add one at a time.
 
 Polynomials in t carry their coefficients as a code vector, lowest degree
 first, with no trailing zeros.  The degree of the zero polynomial is the
@@ -46,14 +48,14 @@ NEG_INF = float("-inf")
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
-# Products of fewer coefficient pairs take the table loop.  Measured with
-# bytes inputs, packing wins from about 4 pairs for d = 1 (F_2, F_3: one
-# int.from_bytes per operand), from about 30-40 pairs for F_4 (2 bit planes
-# a side, 4 multiplies) and from about 50-64 for F_8.  Over the products
-# below 128 pairs recorded in one pass of each benchmark workload at seed
-# 1000, lowering the threshold saves at most 4 ms a pass over F_2 but costs
-# F_4 up to 9 ms, and 40-48 give F_4 the least total time of the thresholds
-# tried (1 to 64).
+# A single product (``convolve``) of fewer coefficient pairs takes the table
+# loop; sums over p = 2 pack every product.  Measured with bytes inputs,
+# packing wins from about 4 pairs for d = 1 (F_2, F_3), from about 30-40
+# pairs for F_4 (2 bit planes a side, 4 multiplies) and from about 50-64 for
+# F_8.  Over the products below 128 pairs recorded in one pass of each
+# benchmark workload at seed 1000, lowering the threshold saves at most 4 ms
+# a pass over F_2 but costs F_4 up to 9 ms, and 40-48 give F_4 the least
+# total time of the thresholds tried (1 to 64).
 _PACK_MIN_OPS = 48
 
 # Kronecker slot widths in bytes, narrowest first -> array typecode of an
@@ -229,6 +231,8 @@ class FieldCtx:
                               for k in range(s)]
                 self._fold = bytes(reduce_mod_f(dec(m, s))
                                    for m in range(256))
+                self._slot_read = [bytes(b * 256 ** j % p for b in range(256))
+                                   for j in range(max(_SLOT_FMT))]
 
     # -- element (code) arithmetic ------------------------------------------
 
@@ -315,23 +319,39 @@ class FieldCtx:
         if not xs or not ys:
             return b""
         if self.packs and len(xs) * len(ys) >= _PACK_MIN_OPS:
-            # no slot may overflow: each output slot sums at most min(nnz)
-            # products, with nnz an operand's count of non-zero codes, of
-            # two bits for p = 2 (one bit plane pair per multiply), and of
-            # two digits <= p-1, d pairs per coefficient, for odd p; the
-            # counts are taken only when min(len) does not already give
-            # one byte
-            top = 1 if self.p == 2 else self.d * (self.p - 1) ** 2
-            bound = min(len(xs), len(ys)) * top
-            if bound > 255:
-                bound = min(len(xs) - xs.count(0), len(ys) - ys.count(0)) \
-                    * top
-            for nb in _SLOT_FMT:
-                if bound < 1 << (8 * nb):
-                    if self.p == 2:
-                        return self._convolve_planes(xs, ys, nb)
-                    return self._convolve_packed(xs, ys, nb)
+            nb = self._slot_width(xs, ys)
+            if self.p == 2:
+                return self._convolve_planes(((xs, ys, 0),), nb,
+                                             len(xs) + len(ys) - 1)
+            return self._convolve_packed(xs, ys, nb)
         return self._convolve_table(xs, ys)
+
+    def convolve_sum(self, triples):
+        """The code vector that acc = add(acc, convolve(xs, ys), k) gives
+        from acc = b"" over the (xs, ys, k) triples.  Over p = 2, in a field
+        that packs, one bit-plane sum at its widest product's slot width."""
+        if self._taps is None or not triples:
+            acc = b""
+            for xs, ys, k in triples:
+                acc = self.add(acc, self.convolve(xs, ys), k)
+            return acc
+        n = max(k + len(xs) + len(ys) - 1 if xs and ys else k
+                for xs, ys, k in triples)
+        nb = max(self._slot_width(xs, ys) for xs, ys, _ in triples)
+        return self._convolve_planes(triples, nb, n)
+
+    def _slot_width(self, xs, ys):
+        # the narrowest slot, in bytes, that no slot of xs*ys overflows: one
+        # sums at most min(nnz) products (nnz: an operand's non-zero codes),
+        # each of two bits for p = 2 (one bit plane pair per multiply), and
+        # of d products of two digits <= p-1 for odd p; the counts are taken
+        # only when min(len) does not already give one byte
+        top = 1 if self.p == 2 else self.d * (self.p - 1) ** 2
+        bound = min(len(xs), len(ys)) * top
+        if bound > 255:
+            bound = min(len(xs) - xs.count(0), len(ys) - ys.count(0)) * top
+        return 1 if bound < 256 else min(
+            nb for nb in _SLOT_FMT if bound < 1 << 8 * nb)
 
     def _convolve_table(self, xs, ys):
         # the reference path: one table lookup per nonzero coefficient pair
@@ -347,20 +367,23 @@ class FieldCtx:
                     out[k] = add[out[k] * q + mul[row + y]]
         return bytes(out)
 
-    def _convolve_planes(self, xs, ys, nb):
+    def _convolve_planes(self, triples, nb, n):
         # p = 2, Kronecker substitution on bit planes: plane k of a vector
         # holds bit k of coefficient i in slot i of nb bytes.  Plane
         # products combined by XOR keep each slot's parity, and slots never
         # carry, so the low bit of slot i of c_m = XOR_{k+l=m} a_k * b_l is
-        # the u^m digit of output coefficient i.  u^d = sum_{taps} u^i
-        # folds planes 2d-2 .. d down, and one mask reads the low bits.
+        # the u^m digit of output coefficient i, also with each triple's
+        # products moved up k slots.  u^d = sum_{taps} u^i folds planes
+        # 2d-2 .. d down, and one mask reads the low bits of n slots.
         d = self.d
-        n = len(xs) + len(ys) - 1
         if d == 1 and nb == 1:  # F_2 at one-byte slots: codes are the plane
-            return (int.from_bytes(xs, "little") * int.from_bytes(ys, "little")
-                    ).to_bytes(n, "little").translate(self._digit[0])
+            acc = 0
+            for xs, ys, k in triples:
+                acc ^= (int.from_bytes(xs, "little")
+                        * int.from_bytes(ys, "little")) << 8 * k
+            return acc.to_bytes(n, "little").translate(self._digit[0])
 
-        def planes(vs):
+        def planes(vs, k=0):
             codes = bytes(vs)
             out = []
             for tab in self._digit:
@@ -369,14 +392,15 @@ class FieldCtx:
                     buf = bytearray(len(codes) * nb)
                     buf[::nb] = bits
                     bits = buf
-                out.append(int.from_bytes(bits, "little"))
+                out.append(int.from_bytes(bits, "little") << 8 * nb * k)
             return out
 
-        bs = planes(ys)
         c = [0] * (2 * d - 1)
-        for k, a in enumerate(planes(xs)):
-            for m, b in enumerate(bs, k):
-                c[m] ^= a * b
+        for xs, ys, k in triples:
+            bs = planes(ys)
+            for i, a in enumerate(planes(xs, k)):
+                for m, b in enumerate(bs, i):
+                    c[m] ^= a * b
         for m in range(2 * d - 2, d - 1, -1):
             for i in self._taps:
                 c[m - d + i] ^= c[m]
@@ -410,6 +434,12 @@ class FieldCtx:
         raw = (pack(xs) * pack(ys)).to_bytes(n * step, "little")
         if nb == 1:
             low = raw
+        elif nb * (p - 1) < 256:
+            # byte j of each slot read as byte * 256^j mod p: a slot's nb
+            # digits add up in one byte, so the strides add as big ints
+            low = sum(int.from_bytes(raw[j::nb].translate(tab), "little")
+                      for j, tab in enumerate(self._slot_read[:nb])
+                      ).to_bytes(n * s, "little")
         else:
             slots = array.array(_SLOT_FMT[nb], raw)
             if sys.byteorder == "big":

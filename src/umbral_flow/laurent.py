@@ -22,9 +22,9 @@ Three states:
 * nonzero             -- codes[0] != 0, codes[-1] != 0, v + len(codes) <= prec
 
 The constructor normalizes any code sequence to that form with
-``lstrip``/``rstrip`` of zero bytes, and the ring operations hand whole
-code vectors to the ``FieldCtx`` kernels, which run as C-level bytes and
-big-int operations wherever the field allows (see ``fq``).
+``lstrip``/``rstrip`` of zero bytes, and the ring operations and sums of
+products (``product_sum``) hand whole code vectors to the ``FieldCtx``
+kernels, C-level bytes and big-int operations wherever the field allows.
 """
 
 from __future__ import annotations
@@ -103,6 +103,13 @@ class LaurentF:
         if self.codes:
             return self.v
         return self.prec
+
+    def poly_degree(self):
+        """The degree in t of an exact polynomial, -1 for the exact zero;
+        INF, bounded by no degree, when the value is no exact polynomial."""
+        if self.prec != INF or self.v + len(self.codes) > 1:
+            return INF
+        return -self.v if self.codes else -1
 
     # -- ring operations -----------------------------------------------------
 
@@ -267,6 +274,32 @@ def json_fields(obj, what, **kinds):
             raise ParseError(f"bad {what} literal: {k!r} must be "
                              f"{kind.__name__}")
     return vals
+
+
+def product_sum(ctx, pairs, window=INF):
+    """sum of a*b over the (a, b) pairs, b None meaning 1, truncated at
+    ``window``: the (v, codes, prec) of acc = acc + a*b from the exact zero,
+    then acc.truncate(window).  Each product's digits are exact, so the sum
+    is cut once, at the least of ``window`` and the products' precisions
+    min(prec_a + vlb_b, prec_b + vlb_a); its codes are one product or one
+    ``FieldCtx.convolve_sum``."""
+    prec, triples = window, []
+    for a, b in pairs:
+        if b is None:
+            pk, ys, vb = a.prec, b"\1", 0
+        else:
+            pk = min(a.prec + b.val_lower_bound(),
+                     b.prec + a.val_lower_bound())
+            ys, vb = b.codes, b.v
+        prec = min(prec, pk)
+        if a.codes and ys:
+            triples.append((a.codes, ys, a.v + vb))
+    if len(triples) > 1:
+        lo = min(v for _, _, v in triples)
+        return LaurentF(ctx, lo, ctx.convolve_sum(
+            [(xs, ys, v - lo) for xs, ys, v in triples]), prec)
+    xs, ys, v = triples[0] if triples else (b"", b"", 0)
+    return LaurentF(ctx, v, ctx.convolve(xs, ys), prec)
 
 
 def _series_inv(ctx, codes, length):

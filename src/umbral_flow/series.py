@@ -11,11 +11,13 @@ block i of one code vector per operand, one ``FieldCtx.convolve`` call
 multiplies them, block k of the result holds the digits of output
 coefficient k, and its precision is a min over the term pairs i + j = k,
 which is integer work.  A sparse product, and every product over a field
-whose convolution does not pack (p^(2d-1) > 256), takes the schoolbook loop
-of Laurent products and sums.  Dense means that the packed slot count n*W
-is at most ``_PACK_SLOTS_PER_PAIR`` times the number of term pairs: the
-power-rule products of the flow claims are dense, the trunc-80 power tables
-of the duality layer sparse.
+whose convolution does not pack (p^(2d-1) > 256), takes the schoolbook
+loop, one ``laurent.product_sum`` per output coefficient.  Dense means that
+the packed slot count n*W is at most ``_PACK_SLOTS_PER_PAIR`` times the
+number of term pairs: the power-rule products of the flow claims are
+dense, the trunc-80 power tables of the duality layer sparse.
+``taylor_shift`` reads no moment, so it stays the flows' independent
+oracle: the two share only the field kernels.
 
 ``AdditiveSeries`` is a separate carrier for series with terms only at
 p-power exponents, H(T) = sum_i h_i T^(p^i).  Keeping it structural makes
@@ -34,7 +36,7 @@ from .errors import (
     NotAGeneratorError,
     TruncationMismatchError,
 )
-from .laurent import INF, LaurentF, json_fields
+from .laurent import INF, LaurentF, json_fields, product_sum
 
 
 def top_place(p: int, n: int):
@@ -218,11 +220,11 @@ class TruncSeries:
         return self._mul_loop(other)
 
     def _mul_loop(self, other):
-        # the sparse path and the reference for the packed one: one Laurent
-        # product and one sum per term pair (i, j) with i + j < n
+        # the sparse path and the reference for the packed one: one
+        # product_sum per output coefficient k over the term pairs i + j = k
         n = min(self.trunc, other.trunc)
         z = LaurentF.zero(self.ctx)
-        out = [z] * n
+        sums = [[] for _ in range(n)]
         bs = other.terms
         for i, a in self.terms:
             if i >= n:
@@ -230,8 +232,9 @@ class TruncSeries:
             for j, b in bs:
                 if i + j >= n:
                     break
-                out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.ctx, out)
+                sums[i + j].append((a, b))
+        return TruncSeries(self.ctx, [product_sum(self.ctx, s) if s else z
+                                      for s in sums])
 
     def _mul_packed(self, other, n, sa, sb):
         # 2-D Kronecker substitution on the window n, with sa and sb the
@@ -324,7 +327,8 @@ def hasse_derivative(P: TruncSeries, k: int) -> TruncSeries:
 
 
 def taylor_shift(P: TruncSeries, c: LaurentF) -> TruncSeries:
-    """The coefficient window of P(T + c): exact binomial re-expansion.
+    """The coefficient window of P(T + c): exact binomial re-expansion,
+    sum_k C(j+k, k) a_(j+k) c^k at T^j.
 
     Independent of the flow machinery on purpose: this is the oracle that
     flow results are compared against.
@@ -332,13 +336,12 @@ def taylor_shift(P: TruncSeries, c: LaurentF) -> TruncSeries:
     ctx = P.ctx
     p = ctx.p
     M = P.trunc
-    zero = LaurentF.zero(ctx)
-    cpows = [None, c]  # c^k for k >= 1, by the chain c^k = c^(k-1) * c
+    cpows = [None, c]  # c^k by the chain c^(k-1) * c; None is c^0 = 1
     while len(cpows) < M:
         cpows.append(cpows[-1] * c)
     out = []
     for j in range(M):
-        acc = zero
+        pairs = []
         for k in range(M - j):
             a = P.coeffs[j + k]
             if a.is_exact_zero():
@@ -346,11 +349,8 @@ def taylor_shift(P: TruncSeries, c: LaurentF) -> TruncSeries:
             b = binom_mod_p(j + k, k, p)
             if b == 0:
                 continue
-            term = a if b == 1 else a.scale(b)
-            if k:
-                term = term * cpows[k]
-            acc = acc + term
-        out.append(acc)
+            pairs.append((a if b == 1 else a.scale(b), cpows[k]))
+        out.append(product_sum(ctx, pairs))
     return TruncSeries(ctx, out)
 
 
@@ -424,8 +424,7 @@ class AdditiveSeries:
                     other.length if not other.exact else INF)
             n = int(n)
             exact = False
-        z = LaurentF.zero(ctx)
-        out = [z] * n
+        sums = [[] for _ in range(n)]
         for i, h in enumerate(self.pcoeffs):
             if h.is_exact_zero():
                 continue
@@ -435,8 +434,9 @@ class AdditiveSeries:
                     break
                 if g.is_exact_zero():
                     continue
-                out[k] = out[k] + h * g.frob_power(i)
-        return AdditiveSeries(ctx, out, exact=exact)
+                sums[k].append((h, g.frob_power(i)))
+        return AdditiveSeries(ctx, [product_sum(ctx, s) for s in sums],
+                              exact=exact)
 
     def inverse(self, length=None) -> "AdditiveSeries":
         """Composition inverse, solved triangularly; needs a generator.
@@ -458,14 +458,11 @@ class AdditiveSeries:
         h0_inv = h0.inv() if (h0.prec != INF or exact_unit) \
             else h0.inv(prec=_EXACT_INV_PREC)
         cs = [h0_inv]
-        z = LaurentF.zero(ctx)
         for k in range(1, length):
-            acc = z
-            for i in range(1, min(k, self.length - 1) + 1):
-                h = self.pcoeffs[i]
-                if h.is_exact_zero():
-                    continue
-                acc = acc + h * cs[k - i].frob_power(i)
+            acc = product_sum(ctx, [
+                (h, cs[k - i].frob_power(i))
+                for i, h in enumerate(self.pcoeffs[1:k + 1], 1)
+                if not h.is_exact_zero()])
             cs.append(-(h0_inv * acc))
         exact = self.exact and self.length == 1
         return AdditiveSeries(ctx, cs, exact=exact)

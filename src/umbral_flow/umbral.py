@@ -14,17 +14,18 @@ moments).
 
 The flow coefficient at X^h is the umbral evaluation of the h-th Hasse
 derivative of P, so ``flow_coefficient`` and ``umbral_eval`` (its h = 0
-case) run one windowed moment sum, ``_moment_sum``.  A finite window skips
-every term whose valuation bound reaches it.
+case) run one windowed moment sum, ``_moment_sum``, which is one
+``laurent.product_sum``.  A finite window skips every term whose valuation
+bound reaches it.
 
 ``apply_flow`` sums the whole window at once as sum_j a_j row_j, with
 row_j = sum_h F_(j-h)(x) X^h over the h whose C(j, h) is odd.  Over
 characteristic 2, where adding two code vectors is one XOR, row_j is one
-code vector with block h at offset h*W, each a_j multiplies its row in one
-``FieldCtx.convolve`` call, and every output precision is a min over the
-same pairs, which is integer work.  Over odd p ``apply_flow`` takes
-``flow_coefficient`` per coefficient, which is also the reference for the
-packed sum and the windowed single reads of the duality checks.
+code vector with block h at offset h*W, the products a_j row_j are one
+accumulated ``FieldCtx.convolve_sum``, and every output precision is a min
+over the same pairs, which is integer work.  Over odd p ``apply_flow``
+takes ``flow_coefficient`` per coefficient, which is also the reference
+for the packed sum and the windowed single reads of the duality checks.
 
 Admissibility (F_k(x) -> 0) is only semi-decidable at finite precision, so
 the heuristic verdict is labeled "apparently"; the maps with an exact rule
@@ -47,7 +48,7 @@ from functools import lru_cache
 
 from .carlitz import CarlitzCtx
 from .errors import PreconditionFailedError
-from .laurent import INF, LaurentF
+from .laurent import INF, LaurentF, product_sum
 from .series import TruncSeries, binom_mod_p
 
 
@@ -201,10 +202,9 @@ class TwistedMap(UmbralMap):
 
     def support(self, x):
         # at a polynomial x, e_k(x) has the factor x + eps with eps = -x once
-        # k > deg x, so T_n(x) = 0 once n has a q-adic digit past deg x
-        if x.prec != INF or x.v + len(x.codes) > 1:
-            return INF
-        return self.ctx.q ** ((-x.v if x.codes else -1) + 1)
+        # k > deg x, so T_n(x) = 0 once n has a q-adic digit past deg x; any
+        # other x has deg x = INF, and so no support
+        return self.ctx.q ** (x.poly_degree() + 1)
 
 
 def admissible_heuristic(umap: UmbralMap,
@@ -232,8 +232,8 @@ def admissible_heuristic(umap: UmbralMap,
 def flow_coefficient(umap: UmbralMap, x: LaurentF, P: TruncSeries,
                      h: int, window=INF) -> LaurentF:
     """eps_h = sum_{k < M-h} C(k+h, h) a_{k+h} F_k(x), an exact finite sum,
-    truncated at absolute precision ``window``: one Laurent product and one
-    sum per term (see ``_moment_sum``).
+    truncated at absolute precision ``window``: one ``product_sum`` over
+    the terms (see ``_moment_sum``).
 
     This is ``apply_flow``'s path over odd p and the reference for its
     packed sum.  The duality checks call it directly for the single
@@ -262,7 +262,7 @@ def _moment_sum(umap, x, P, h, window):
     # are exact zeros, whose products would add nothing.  At h = 0 every
     # C(j, 0) is 1, so no binomial is looked up.
     p = P.ctx.p
-    acc = LaurentF.zero(P.ctx)
+    pairs = []
     for j, a in P.terms:
         if h:
             if j < h:
@@ -272,13 +272,13 @@ def _moment_sum(umap, x, P, h, window):
                 continue
             if b != 1:
                 a = a.scale(b)
+        fk = None
         if j > h:
             fk = umap.moment(x, j - h)
             if a.val_lower_bound() + fk.val_lower_bound() >= window:
                 continue
-            a = a * fk
-        acc = acc + a
-    return acc.truncate(window)
+        pairs.append((a, fk))
+    return product_sum(P.ctx, pairs, window)
 
 
 @lru_cache(maxsize=None)
@@ -295,9 +295,9 @@ def apply_flow(umap: UmbralMap, x: LaurentF, P: TruncSeries,
     """Apply the flow operator of ``umap`` at x to P, on P's window.
 
     Over characteristic 2 the window is one packed sum (``_flow_packed``),
-    whose accumulation is one XOR per coded coefficient; over odd p a
-    packed sum would add code vectors with a table loop, and the window
-    takes ``flow_coefficient`` per coefficient instead.  Both give every
+    one ``FieldCtx.convolve_sum`` of its rows; over odd p a packed sum
+    would add code vectors with a table loop, and the window takes
+    ``flow_coefficient`` per coefficient instead.  Both give every
     coefficient the same (v, codes, prec) and ask ``umap`` for the same
     moments.
     """
@@ -348,7 +348,7 @@ def _flow_packed(umap, x, P):
     a_lo = min(a.v for _, a in coded)
     a_hi = max(a.v + len(a.codes) for _, a in coded)
     width = a_hi - a_lo + f_hi - f_lo - 1
-    acc = b""
+    triples = []
     for j, a in coded:
         row = bytearray(j * width + f_hi - f_lo)
         for h in rows[j]:
@@ -356,7 +356,8 @@ def _flow_packed(umap, x, P):
             if f.codes:
                 at = h * width + f.v - f_lo
                 row[at:at + len(f.codes)] = f.codes
-        acc = ctx.add(acc, ctx.convolve(bytes(row), a.codes), a.v - a_lo)
+        triples.append((bytes(row), a.codes, a.v - a_lo))
+    acc = ctx.convolve_sum(triples)
     v = a_lo + f_lo
     return TruncSeries(ctx, [
         LaurentF(ctx, v, acc[h * width:(h + 1) * width], precs[h])

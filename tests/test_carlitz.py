@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from umbral_flow import carlitz
 from umbral_flow.carlitz import CarlitzCtx
 from umbral_flow.errors import (
     EnumerationCapExceededError,
@@ -85,6 +86,42 @@ def test_ek_vanishes_on_small_degrees(cc_name, request):
     for k in (1, 2):
         for eps in enumerate_polys(cc.field, k, False):
             assert cc.ek(k, LaurentF.from_poly(eps)).is_exact_zero()
+
+
+@pytest.mark.parametrize("cc_name", ["cc2", "cc3"])
+def test_ek_past_a_polynomials_degree_enumerates_nothing(cc_name, request,
+                                                       monkeypatch):
+    # at a polynomial x of degree < k, e_k(x) is the exact zero that the
+    # product over deg(eps) < k gives, since it meets eps = -x, and no
+    # polynomial is enumerated for it; a k past the cap still raises
+    cc = request.getfixturevalue(cc_name)
+    ctx = cc.field
+    points = [LaurentF.zero(ctx), LaurentF.one(ctx),
+              LaurentF.from_poly(PolyA.from_coeffs(ctx, [1, 0, 1]))]
+    for x in points:
+        deg = x.poly_degree()
+        for k in range(max(deg + 1, 1), 3):
+            prod = LaurentF.one(ctx)
+            for eps in enumerate_polys(ctx, k, False):
+                prod = prod * (x + LaurentF.from_poly(eps))
+            assert prod.is_exact_zero()
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return enumerate_polys(*args, **kwargs)
+
+    monkeypatch.setattr(carlitz, "enumerate_polys", spy)
+    for x in points:
+        deg = x.poly_degree()
+        for k in range(deg + 1, deg + 5):
+            assert cc.ek(k, x) == LaurentF.zero(ctx)
+    assert calls == []
+    assert not cc.ek(2, points[2]).is_zero_at_prec()  # k = deg x: a product
+    assert calls
+    capped = CarlitzCtx(ctx, cap=ctx.q ** 3)
+    with pytest.raises(EnumerationCapExceededError):
+        capped.ek(3, points[2])  # q^4 > cap
 
 
 @pytest.mark.parametrize("cc_name", ["cc2", "cc3"])

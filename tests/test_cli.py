@@ -182,6 +182,14 @@ def test_cli_verify_all_report_bytes(capsys, monkeypatch):
     assert capsys.readouterr().out == expected
 
 
+def test_cli_example58_at_a_wide_window_ends(capsys):
+    # a window of 14 reaches e_k past the degree of every point, each an
+    # exact zero known without a product over q^k factors
+    assert main(["--trials", "8", "--window", "14", "verify",
+                 "example58"]) == 0
+    assert json.loads(capsys.readouterr().out)["claims"][0]["passed"]
+
+
 _BEYOND_F2 = {
     "q3_t8": ["--p", "3", "--trials", "8"],
     "q4_t4": ["--d", "2", "--modulus", "1", "1", "1", "--trials", "4"],

@@ -276,16 +276,22 @@ def test_convolve_planes_matches_table(name, data):
     assert ctx.convolve(xs, ys) == expect
     nnz = min(len(xs) - xs.count(0), len(ys) - ys.count(0))
     for nb in (1, 2) if nnz <= _one_byte_edge(ctx) else (2,):
-        assert ctx._convolve_planes(bytes(xs), bytes(ys), nb) == expect
+        assert ctx._convolve_planes(((bytes(xs), bytes(ys), 0),), nb,
+                                    len(xs) + len(ys) - 1) == expect
 
 
 def _spy_packed(monkeypatch, calls):
     """Record (path, slot width) of each packed convolution in calls."""
-    for path in ("_convolve_planes", "_convolve_packed"):
-        def spy(self, xs, ys, nb, _path=path, _fn=getattr(FieldCtx, path)):
-            calls.append((_path, nb))
-            return _fn(self, xs, ys, nb)
-        monkeypatch.setattr(FieldCtx, path, spy)
+    def planes(self, triples, nb, n, _fn=FieldCtx._convolve_planes):
+        calls.append(("_convolve_planes", nb))
+        return _fn(self, triples, nb, n)
+
+    def packed(self, xs, ys, nb, _fn=FieldCtx._convolve_packed):
+        calls.append(("_convolve_packed", nb))
+        return _fn(self, xs, ys, nb)
+
+    monkeypatch.setattr(FieldCtx, "_convolve_planes", planes)
+    monkeypatch.setattr(FieldCtx, "_convolve_packed", packed)
 
 
 def test_convolve_dispatch(monkeypatch):
@@ -333,6 +339,93 @@ def test_convolve_dispatch(monkeypatch):
     F32 = field(2, 5, (1, 0, 1, 0, 0, 1))
     with pytest.raises(AssertionError, match="table path"):
         F32.convolve([1] * 64, [1] * 64)
+
+
+def _convolve_sum_loop(ctx, triples):
+    """The reference for ``convolve_sum``: one table product and one table
+    sum per triple."""
+    acc = b""
+    for xs, ys, k in triples:
+        prod = ctx._convolve_table(xs, ys) if xs and ys else b""
+        acc = ctx._add_table(acc, prod, k)
+    return acc
+
+
+def _sum_case(rng, ctx, wide):
+    """Up to five (xs, ys, k) triples at mixed shifts, empty operands among
+    them; with ``wide``, one product of two operands with 300 non-zero
+    codes, past one-byte slots for p = 2."""
+    def vec():
+        n = rng.choice([0, 1, 2, 5, 17, 40])
+        return bytes(rng.randrange(ctx.q) for _ in range(n))
+
+    triples = [(vec(), vec(), rng.randrange(0, 60))
+               for _ in range(rng.randrange(0, 5))]
+    if wide:
+        xs, ys = (bytes(rng.randrange(1, ctx.q) for _ in range(300))
+                  for _ in range(2))
+        triples.insert(rng.randrange(len(triples) + 1),
+                       (xs, ys, rng.randrange(0, 60)))
+    return triples
+
+
+@pytest.mark.parametrize("name", ["F2", "F4", "F8"])
+@pytest.mark.parametrize("wide", [False, True])
+def test_convolve_sum_matches_loop(name, wide, monkeypatch):
+    # over p = 2 every sum with a product is one bit-plane sum, at the slot
+    # width of its widest product: one byte, or two for 300 x 300 codes
+    ctx = field(*_PLANE_FIELDS[name])
+    widths = []
+    planes = FieldCtx._convolve_planes
+
+    def spy(self, triples, nb, n):
+        widths.append(nb)
+        return planes(self, triples, nb, n)
+
+    monkeypatch.setattr(FieldCtx, "_convolve_planes", spy)
+    rng = random.Random(f"{name}-{wide}")
+    for _ in range(40):
+        triples = _sum_case(rng, ctx, wide)
+        del widths[:]
+        got = ctx.convolve_sum(triples)
+        assert type(got) is bytes
+        assert got == _convolve_sum_loop(ctx, triples)
+        assert widths == ([2 if wide else 1] if triples else [])
+
+
+@pytest.mark.parametrize("args", [(3, 1, None), (2, 5, (1, 0, 1, 0, 0, 1))])
+def test_convolve_sum_loop_over_odd_p_and_unpacked_fields(args, monkeypatch):
+    # F_3 (odd p) and F_32 (2^9 > 256) add one product at a time
+    ctx = field(*args)
+
+    def refuse(self, *args):
+        raise AssertionError("bit-plane sum")
+
+    monkeypatch.setattr(FieldCtx, "_convolve_planes", refuse)
+    rng = random.Random(3)
+    for _ in range(30):
+        triples = _sum_case(rng, ctx, rng.random() < 0.2)
+        assert ctx.convolve_sum(triples) == _convolve_sum_loop(ctx, triples)
+
+
+@pytest.mark.parametrize("args", [(3, 1, None), (5, 1, None), (7, 1, None),
+                                  (3, 2, (1, 0, 1)), (131, 1, None)])
+@pytest.mark.parametrize("nb", [2, 4, 8])
+def test_convolve_packed_wide_slots_match_table(args, nb):
+    # slots of nb > 1 bytes read through the 256^j mod p tables when
+    # nb * (p - 1) < 256, and by % p otherwise (F_131 at 4 and 8 bytes);
+    # the all-(p-1) operands put digits in every slot's second byte.  A
+    # product that could overflow nb-byte slots is not a valid input
+    ctx = field(*args)
+    rng = random.Random(nb)
+    for m, n in ((64, 64), (70, 200), (1, 90), (130, 9)):
+        for xs, ys in ((bytes([ctx.q - 1]) * m, bytes([ctx.q - 1]) * n),
+                       (bytes(rng.randrange(ctx.q) for _ in range(m)),
+                        bytes(rng.randrange(ctx.q) for _ in range(n)))):
+            if ctx._slot_width(xs, ys) > nb:
+                continue
+            assert ctx._convolve_packed(xs, ys, nb) == \
+                ctx._convolve_table(xs, ys)
 
 
 # Element-wise kernels on bytes code vectors against per-coefficient

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from umbral_flow.errors import PrecisionLossError, ZeroInverseError
 from umbral_flow.fq import PolyA, field
-from umbral_flow.laurent import INF, LaurentF, agreement_valuation
+from umbral_flow.laurent import (
+    INF,
+    LaurentF,
+    agreement_valuation,
+    product_sum,
+)
 
 
 def _rand_laurent(ctx, rng, prec=32, allow_zero=True):
@@ -206,29 +211,30 @@ def _model_mul(ctx, a, b):
     return out, min(pa + vlb_b, pb + vlb_a)
 
 
+def _draw_value(draw, ctx):
+    """An exact zero, a zero at precision, or coded, exact (INF) or not."""
+    kind = draw(st.sampled_from(
+        ["exact zero", "zero at prec", "random", "top", "monomial"]))
+    v = draw(st.integers(-8, 8))
+    if kind == "exact zero":
+        return LaurentF.zero(ctx)
+    prec = draw(st.sampled_from([INF, v + draw(st.integers(-2, 30))]))
+    if kind == "zero at prec":
+        return LaurentF.zero_at(ctx, v if prec == INF else prec)
+    n = 1 if kind == "monomial" else draw(st.integers(1, 24))
+    if kind == "top":  # every digit p-1
+        codes = [ctx.q - 1] * n
+    else:
+        codes = draw(st.lists(st.integers(0, ctx.q - 1), min_size=n,
+                              max_size=n))
+    return LaurentF(ctx, v, codes, prec)
+
+
 @st.composite
 def _laurent_pair(draw):
     ctx = field(*_DIFF_FIELDS[draw(st.sampled_from(sorted(_DIFF_FIELDS)))])
-    q = ctx.q
-
-    def value():
-        kind = draw(st.sampled_from(
-            ["exact zero", "zero at prec", "random", "top", "monomial"]))
-        v = draw(st.integers(-8, 8))
-        if kind == "exact zero":
-            return LaurentF.zero(ctx)
-        prec = draw(st.sampled_from([INF, v + draw(st.integers(-2, 30))]))
-        if kind == "zero at prec":
-            return LaurentF.zero_at(ctx, v if prec == INF else prec)
-        n = 1 if kind == "monomial" else draw(st.integers(1, 24))
-        if kind == "top":  # every digit p-1
-            codes = [q - 1] * n
-        else:
-            codes = draw(st.lists(st.integers(0, q - 1), min_size=n,
-                                  max_size=n))
-        return LaurentF(ctx, v, codes, prec)
-
-    return ctx, value(), value(), draw(st.integers(0, q - 1))
+    return ctx, _draw_value(draw, ctx), _draw_value(draw, ctx), \
+        draw(st.integers(0, ctx.q - 1))
 
 
 @given(_laurent_pair())
@@ -252,6 +258,50 @@ def test_bytes_laurent_matches_coefficient_model(case):
         e = ctx.p ** i
         check(x.frob_power(i), {f * e: ctx.frob_c(c, i)
                                 for f, c in mx[0].items()}, mx[1] * e)
+
+
+def _product_sum_loop(ctx, pairs, window):
+    """The reference for ``product_sum``: one Laurent product and one sum
+    per pair, then one truncation."""
+    acc = LaurentF.zero(ctx)
+    for a, b in pairs:
+        acc = acc + (a if b is None else a * b)
+    return acc.truncate(window)
+
+
+@st.composite
+def _product_sum_case(draw):
+    # up to six pairs, b None (meaning 1) for some; no pairs and one pair
+    # among them
+    ctx = field(*_DIFF_FIELDS[draw(st.sampled_from(["F2", "F3", "F4",
+                                                    "F8"]))])
+    pairs = [(_draw_value(draw, ctx),
+              None if draw(st.booleans()) else _draw_value(draw, ctx))
+             for _ in range(draw(st.integers(0, 6)))]
+    window = draw(st.sampled_from([INF, draw(st.integers(-12, 40))]))
+    return ctx, pairs, window
+
+
+@given(_product_sum_case())
+@settings(max_examples=300, deadline=None)
+def test_product_sum_matches_loop(case):
+    ctx, pairs, window = case
+    got = product_sum(ctx, pairs, window)
+    want = _product_sum_loop(ctx, pairs, window)
+    assert type(got.codes) is bytes
+    assert (got.v, got.codes, got.prec) == (want.v, want.codes, want.prec)
+
+
+def test_poly_degree(F2):
+    t = LaurentF(F2, -1, [1], INF)
+    assert LaurentF.zero(F2).poly_degree() == -1
+    assert LaurentF.one(F2).poly_degree() == 0
+    assert (t * t + t).poly_degree() == 2
+    assert LaurentF(F2, -1, [1, 1], INF).poly_degree() == 1
+    # a 1/t digit, or a finite precision, is no polynomial
+    assert LaurentF(F2, -1, [1, 0, 1], INF).poly_degree() == INF
+    assert LaurentF(F2, -1, [1], 40).poly_degree() == INF
+    assert LaurentF.zero_at(F2, 40).poly_degree() == INF
 
 
 def test_eq_to_prec(F2):

@@ -304,9 +304,15 @@ def test_packed_product_slot_widths(name, monkeypatch):
     path = "_convolve_planes" if ctx.p == 2 else "_convolve_packed"
     packed = getattr(FieldCtx, path)
 
-    def spy(self, xs, ys, nb):
-        widths.append((min(len(xs), len(ys)), nb))
-        return packed(self, xs, ys, nb)
+    if ctx.p == 2:
+        def spy(self, triples, nb, n):
+            xs, ys, _ = triples[0]
+            widths.append((min(len(xs), len(ys)), nb))
+            return packed(self, triples, nb, n)
+    else:
+        def spy(self, xs, ys, nb):
+            widths.append((min(len(xs), len(ys)), nb))
+            return packed(self, xs, ys, nb)
 
     monkeypatch.setattr(FieldCtx, path, spy)
     for L, nb in (((edge + 1) // 3, 1), ((edge + 1) // 3 + 1, 1),
