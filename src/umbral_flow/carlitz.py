@@ -7,11 +7,13 @@ defining formula; the classical recursions are used only as oracles in the
 test suite.  The index set {eps : deg(eps) < k} contains the zero polynomial
 for every k >= 1 and is {0} for k = 0 (deg(0) = NEG_INF), which forces
 e_0(x) = x.
+
+A ``CarlitzCtx`` is single-threaded: its caches of D_k and 1/D_k are filled
+without a lock, and the package starts no thread.  Every claim builds its
+own context.
 """
 
 from __future__ import annotations
-
-import threading
 
 from .errors import (
     EnumerationCapExceededError,
@@ -35,7 +37,6 @@ class CarlitzCtx:
         self.window = window
         self._dk = [PolyA.one(field_ctx)]  # D_0 = 1, the empty product
         self._dk_inv = {}
-        self._lock = threading.Lock()
 
     def dk(self, k: int) -> PolyA:
         """Product of all monic polynomials of degree k; monic of degree k*q^k.
@@ -54,15 +55,14 @@ class CarlitzCtx:
         if k >= len(self._dk) and self.field.q ** (k + 1) > self.cap:
             raise EnumerationCapExceededError(
                 f"q^(k+1) = {self.field.q ** (k + 1)} exceeds cap {self.cap}")
-        with self._lock:
-            while len(self._dk) <= k:
-                level = enumerate_polys(self.field, len(self._dk), True,
-                                        cap=self.cap)
-                while len(level) > 1:
-                    pairs = [a * b for a, b in zip(level[::2], level[1::2])]
-                    level = pairs + level[len(pairs) * 2:]
-                self._dk.append(level[0])
-            return self._dk[k]
+        while len(self._dk) <= k:
+            level = enumerate_polys(self.field, len(self._dk), True,
+                                    cap=self.cap)
+            while len(level) > 1:
+                pairs = [a * b for a, b in zip(level[::2], level[1::2])]
+                level = pairs + level[len(pairs) * 2:]
+            self._dk.append(level[0])
+        return self._dk[k]
 
     def dk_inv(self, k: int, prec: int) -> LaurentF:
         """1/D_k as a Laurent value accurate to at least ``prec``.
@@ -75,18 +75,17 @@ class CarlitzCtx:
         if prec <= k * q ** k and q ** (k + 1) <= self.cap:
             return LaurentF.zero_at(self.field, prec)
         key = (k, prec)
-        with self._lock:
-            got = self._dk_inv.get(key)
-        if got is not None:
-            return got
-        val = LaurentF.from_poly(self.dk(k)).inv(prec=prec)
-        with self._lock:
-            self._dk_inv[key] = val
-        return val
+        got = self._dk_inv.get(key)
+        if got is None:
+            got = LaurentF.from_poly(self.dk(k)).inv(prec=prec)
+            self._dk_inv[key] = got
+        return got
 
     def ek(self, k: int, x: LaurentF) -> LaurentF:
         """e_k(x) = prod over deg(eps) < k of (x + eps); e_0(x) = x: the
         exact zero, from no factor, at a polynomial x of degree < k."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         if x.poly_degree() < k and self.field.q ** (k + 1) <= self.cap:
             return LaurentF.zero(self.field)
         prod = None
@@ -101,15 +100,26 @@ class CarlitzCtx:
         """sum_k x^(q^k) / D_k for k <= K_MAX, stopped by the window rule of
         ``_window_sum``.  No domain restriction: term valuations
         q^k (v(x) + k) eventually increase for every x, so the window rule
-        is a sound stopping criterion even when |x| >= 1.
+        is a sound stopping criterion even when |x| >= 1.  A term whose 1/D_k
+        is a zero at its precision is that product's zero, and x^(q^k), whose
+        codes lie q^k apart, is not built.
         """
         if x.is_exact_zero():
             return x
         q = self.field.q
         vx = x.val_lower_bound()
-        # 1/D_k accurate enough that the whole term is accurate to prec
-        return self._window_sum(lambda k: x.q_power(k) * self.dk_inv(
-            k, max(prec, prec - q ** k * vx) + 8), prec)
+
+        def term(k):
+            qk = q ** k
+            # 1/D_k accurate enough that the whole term is accurate to prec
+            inv = self.dk_inv(k, max(prec, prec - qk * vx) + 8)
+            if not inv.codes:
+                # the product's zero: its precision min(prec_x q^k + P',
+                # P' + q^k vx) is the second, as vx <= prec_x
+                return LaurentF.zero_at(self.field, inv.prec + qk * vx)
+            return x.q_power(k) * inv
+
+        return self._window_sum(term, prec)
 
     def _window_sum(self, term, prec: int) -> LaurentF:
         """sum_k term(k) for k <= K_MAX, stopped once ``window`` consecutive

@@ -2,7 +2,8 @@
 machine-readable verification reports.
 
 Exit codes: 0 all checks passed, 1 some check failed (a claim that raises
-on valid input included), 2 invalid input.
+on valid input included), 2 invalid input (a file argument that cannot be
+read included).
 Reports go to stdout as canonical JSON (byte-stable for a fixed config and
 seed); human-readable progress goes to stderr.
 """
@@ -283,7 +284,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         raise UnknownClaimError(args.command)
-    except (UmbralFlowError, FileNotFoundError, ValueError) as e:
+    except (UmbralFlowError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

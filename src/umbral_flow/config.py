@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .carlitz import CarlitzCtx
 from .fq import DEFAULT_ENUM_CAP, field as make_field
@@ -11,39 +10,41 @@ from .fq import DEFAULT_ENUM_CAP, field as make_field
 ENUM_CAP_ENV = "UMBRAL_FLOW_CAP"
 
 
-@dataclass
 class Config:
-    p: int = 2
-    d: int = 1
-    modulus: tuple | None = None
-    prec: int = 64          # Laurent working precision N
-    trunc: int = 16         # series truncation M
-    basis: int | None = None  # monomial basis size J; default min(12, trunc)
-    trials: int = 200
-    seed: int = 0
-    cap: int = DEFAULT_ENUM_CAP
-    window: int = 3
-    k_max: int | None = None  # geometric-witness scan depth; default q^2
+    """The run's parameters, validated in the order the CLI reports them.
 
-    def __post_init__(self):
-        if self.prec < 8:
+    prec is the Laurent working precision N, trunc the series truncation M,
+    basis the monomial basis size J (default min(12, trunc)) and k_max the
+    geometric-witness scan depth (default q^2).
+    """
+
+    def __init__(self, p: int = 2, d: int = 1, modulus: tuple | None = None,
+                 prec: int = 64, trunc: int = 16, basis: int | None = None,
+                 trials: int = 200, seed: int = 0,
+                 cap: int = DEFAULT_ENUM_CAP, window: int = 3,
+                 k_max: int | None = None):
+        if prec < 8:
             raise ValueError("prec must be >= 8")
-        if self.trunc < 4:
+        if trunc < 4:
             raise ValueError("trunc must be >= 4")
-        if self.basis is None:
-            self.basis = min(12, self.trunc)
-        if not 1 <= self.basis <= self.trunc:
+        if basis is None:
+            basis = min(12, trunc)
+        if not 1 <= basis <= trunc:
             raise ValueError("basis must be in 1..trunc")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.window < 1:
+        if window < 1:
             raise ValueError("window must be >= 1")
-        if self.k_max is not None and self.k_max < 2:
+        if k_max is not None and k_max < 2:
             # the geometricity scan starts at k = 2
             raise ValueError("k_max must be >= 2")
         env_cap = os.environ.get(ENUM_CAP_ENV)
         if env_cap:
-            self.cap = int(env_cap)
+            cap = int(env_cap)
+        self.p, self.d, self.modulus = p, d, modulus
+        self.prec, self.trunc, self.basis = prec, trunc, basis
+        self.trials, self.seed, self.cap = trials, seed, cap
+        self.window, self.k_max = window, k_max
 
     def field_ctx(self):
         return make_field(self.p, self.d, self.modulus)

@@ -50,8 +50,6 @@ generator is a given truncated series S is ``AdditiveIso(S).inverse_iso()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import (
     EnumerationCapExceededError,
     NotAGeneratorError,
@@ -245,16 +243,18 @@ class PerturbedMap(UmbralMap):
         return self.base.admissibility_rule(x)
 
 
-@dataclass
 class DualityReport:
     """Outcome of one verification check; ``passed`` iff no failure survived."""
 
-    claim: str
-    params: dict
-    trials: int = 0
-    failures: list = dc_field(default_factory=list)
-    min_agreement_valuation: object = INF
-    notes: list = dc_field(default_factory=list)
+    def __init__(self, claim: str, params: dict, trials: int = 0,
+                 failures: list | None = None,
+                 min_agreement_valuation=INF, notes: list | None = None):
+        self.claim = claim
+        self.params = params
+        self.trials = trials
+        self.failures = [] if failures is None else failures
+        self.min_agreement_valuation = min_agreement_valuation
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self):

@@ -43,7 +43,7 @@ and their precision by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .carlitz import CarlitzCtx
@@ -52,11 +52,10 @@ from .laurent import INF, LaurentF, product_sum
 from .series import TruncSeries, binom_mod_p
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    apparently_admissible: bool
-    rule: str
-    witness_k: int | None = None
+# immutable; its repr is quoted in "not apparently admissible" errors
+AdmissibilityVerdict = namedtuple(
+    "AdmissibilityVerdict", "apparently_admissible rule witness_k",
+    defaults=(None,))
 
 
 class UmbralMap:

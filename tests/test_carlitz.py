@@ -8,8 +8,8 @@ from umbral_flow.errors import (
     EnumerationCapExceededError,
     OutsideConvergenceDomainError,
 )
-from umbral_flow.fq import PolyA, enumerate_polys
-from umbral_flow.laurent import LaurentF, agreement_valuation
+from umbral_flow.fq import PolyA, enumerate_polys, field
+from umbral_flow.laurent import INF, LaurentF, agreement_valuation
 
 
 def test_dk_base_cases(cc2):
@@ -66,6 +66,14 @@ def test_ek_base_cases(cc2):
     assert (cc2.ek(0, x) - x).is_exact_zero()
     # e_1(x) = x(x+1) = x^2+x over F_2
     assert (cc2.ek(1, x) - (x * x + x)).is_exact_zero()
+
+
+def test_ek_rejects_negative_k(cc2):
+    # as dk does, at a polynomial x of any degree, zero included
+    ctx = cc2.field
+    for x in (LaurentF.from_poly(PolyA.t(ctx)), LaurentF.zero(ctx)):
+        with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+            cc2.ek(-1, x)
 
 
 def test_e2_closed_form(cc2):
@@ -208,6 +216,76 @@ def test_exp_sum_entire_at_polynomials(cc2):
     out = cc2.exp_sum(t, 32)
     assert out.valuation() == -1
     assert out.prec >= 32
+
+
+def _product_term(cctx, x, prec, k):
+    # exp_sum's term k in product form: x^(q^k) times 1/D_k
+    q = cctx.field.q
+    return x.q_power(k) * cctx.dk_inv(
+        k, max(prec, prec - q ** k * x.val_lower_bound()) + 8)
+
+
+@pytest.mark.parametrize("cc_name", ["cc2", "cc3", "cc4"])
+def test_exp_sum_matches_product_form(cc_name, request, monkeypatch):
+    # a term whose 1/D_k is a zero is built without x^(q^k); every term and
+    # every sum keeps the (v, codes, prec) of the product form
+    cc = request.getfixturevalue(cc_name)
+    ctx = cc.field
+    rng = random.Random(7)
+    xs = [LaurentF.one(ctx), LaurentF.zero_at(ctx, 5),
+          LaurentF.from_poly(PolyA.t(ctx)),
+          LaurentF.from_poly(PolyA.t(ctx) * PolyA.t(ctx) + PolyA.one(ctx))]
+    for v in (-2, 0, 1, 3):
+        codes = [rng.randrange(1, ctx.q)] + \
+            [rng.randrange(ctx.q) for _ in range(12)]
+        xs += [LaurentF(ctx, v, codes, 24), LaurentF(ctx, v, codes, INF)]
+    window_sum = cc._window_sum
+    terms = []
+
+    def recording(term, prec):
+        def rec(k):
+            terms.append((k, term(k)))
+            return terms[-1][1]
+        return window_sum(rec, prec)
+
+    monkeypatch.setattr(cc, "_window_sum", recording)
+    skipped = 0
+    for x in xs:
+        for prec in (16, 64):
+            terms.clear()
+            got = cc.exp_sum(x, prec)
+            want = window_sum(
+                lambda k: _product_term(cc, x, prec, k), prec)
+            assert (got.v, got.codes, got.prec) == \
+                (want.v, want.codes, want.prec), (x, prec)
+            for k, tk in terms:
+                ref = _product_term(cc, x, prec, k)
+                assert (tk.v, tk.codes, tk.prec) == \
+                    (ref.v, ref.codes, ref.prec), (x, prec, k)
+                skipped += not tk.codes
+    assert skipped
+
+
+def test_exp_sum_builds_no_q_power_past_prec(monkeypatch):
+    # over F_256 at a unit-ball x with 64 codes, x^(q^3) would be a code
+    # vector of about 1 GB; every term past k = 0 has a zero 1/D_k (the
+    # cap lets dk_inv say so up to k = 3), so no power of x is built
+    F256 = field(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))
+    cc = CarlitzCtx(F256, cap=10 ** 10)
+    rng = random.Random(5)
+    x = LaurentF(F256, 1, [rng.randrange(1, 256) for _ in range(64)], INF)
+    ks = []
+
+    def spy(self, k):
+        ks.append(k)
+        if k:
+            raise AssertionError(f"x^(q^{k}) built")
+        return self
+
+    monkeypatch.setattr(LaurentF, "q_power", spy)
+    out = cc.exp_sum(x, 64)
+    assert ks == [0]
+    assert (out.v, out.codes) == (x.v, x.codes) and out.prec >= 64
 
 
 @pytest.mark.parametrize("p", [2, 3])

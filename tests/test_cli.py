@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import umbral_flow
 from umbral_flow.cli import main, make_map, parse_element, parse_poly
 from umbral_flow.config import Config
 from umbral_flow.errors import ParseError
@@ -273,6 +274,7 @@ def test_cli_bad_json_literal_exits_2(capsys, tmp_path, flag, literal):
 
 @pytest.mark.parametrize("argv", [
     ["carlitz", "dk", "--k", "-2"],
+    ["carlitz", "ek", "--k", "-1", "--x", "t"],
     ["carlitz", "dk", "--k", "40"],  # past the enumeration cap: no work done
     ["--trials", "0", "verify", "taylor"],
     ["--basis", "0", "verify", "taylor"],
@@ -283,6 +285,27 @@ def test_cli_bad_k_and_config_exit_2(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["--map", "additive", "--x", "0", "--series", "{dir}"],
+    ["--map", "dual:additive:{dir}", "--x", "0"],
+])
+def test_cli_unreadable_file_exits_2(capsys, tmp_path, args):
+    # a directory where a file is expected: one error line, no traceback
+    argv = ["flow", "apply"] + [a.format(dir=tmp_path) for a in args]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_inadmissible_point_error_text(capsys):
+    # the verdict's repr is part of the message on stderr
+    assert main(["flow", "apply", "--map", "additive", "--x", "t"]) == 2
+    assert capsys.readouterr().err == (
+        "error: x not apparently admissible for additive: "
+        "AdmissibilityVerdict(apparently_admissible=False, "
+        "rule='|additive_1(x)| < 1 test', witness_k=1)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -365,3 +388,27 @@ def test_cli_verify_all_over_f256_ends(tmp_path):
     assert len(claims) == 12
     assert any("EnumerationCapExceededError" in c.get("error", "")
                for c in claims)
+
+
+# the set-up a benchmark pass times: the CLI imported, a CarlitzCtx built
+_SETUP = """\
+import sys
+sys.path.insert(0, {src!r})
+import umbral_flow.cli
+from umbral_flow.config import Config
+Config(p={p}, d={d}, modulus={modulus}).carlitz_ctx()
+print(sorted(set(sys.modules) & {{"dataclasses", "inspect", "ast",
+                                 "threading"}}))
+"""
+
+
+@pytest.mark.parametrize("p,d,modulus", [(2, 1, None), (2, 2, (1, 1, 1))])
+def test_setup_imports_no_unused_module(p, d, modulus):
+    # in a fresh interpreter without the site module: pytest itself has
+    # imported every one of these modules into this process
+    src = str(Path(umbral_flow.__file__).resolve().parents[1])
+    code = _SETUP.format(src=src, p=p, d=d, modulus=modulus)
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
