@@ -35,14 +35,36 @@ finite sum out to a length L.  The inner map's tail bound
 The bound comes from the moment definitions alone, never from the duality
 or binomial theorems that the checks test.
 
+A dual map's floor (``DualMap.moment_floor``) bounds the moments it
+*computes*, which is what a windowed sum may trust: past the sum's length
+it is the cap, and below it min(cap, the inner map's floor at n), but only
+while every coefficient of the computed H^(-1) at length L has vlb >= 0,
+checked once per length on the computed series, not on H.  Then each
+computed c_(k,m), a product and sum of such coefficients, keeps vlb >= 0,
+each computed term c_(k,m) F_m(x) with m >= k >= n keeps vlb at or past
+the inner floor at n, and the sum, truncated at the cap, keeps the least
+of those and the cap.  Where the inner map proves no floor (a bumped map)
+or H^(-1) is not integral, the floor is None.  ``moment_bound`` itself is
+not capped: the cap and the admissibility rule of a dual of a dual read
+it.  Two rules use the floor, and each only drops work whose result is
+already decided:
+
+* zero past the cap: once the floor at k reaches the cap, every term of
+  the sum has its bound at or past its window, the cap, so the windowed
+  sum is zero at the cap.  ``DualMap.moment`` returns that without
+  building (H^(-1))^k.  This covers k >= L, where the sum has no term;
+* skip before asking: a windowed sum skips a term a_j F_k(x) once
+  vlb(a_j) + floor(k) reaches its window, before the moment is asked for.
+
 Both dual-layer sums, ``umbral_eval`` for a dual moment and
-``flow_coefficient`` for the diagram's right side, are the one windowed
+``flow_coefficients`` for the diagram's right side, are the one windowed
 moment sum of ``umbral``: a term whose valuation bound reaches the window is
 never multiplied out.  A dual moment's window is its cap.  The
 duality diagram's dual flow coefficient at T^h has the precision of the left
 side's coefficient as its window: the difference of the two is known only
 below that precision, so the skipped terms cannot move the agreement it
-reports.
+reports.  One walk over the terms of H^j gives every coefficient h < trunc
+of basis index j.
 
 An iso is built one way, from its generator.  An iso whose inverse
 generator is a given truncated series S is ``AdditiveIso(S).inverse_iso()``.
@@ -56,7 +78,7 @@ from .errors import (
     PreconditionFailedError,
     TruncationMismatchError,
 )
-from .laurent import INF, LaurentF, product_sum
+from .laurent import INF, LaurentF, agreement_valuation, product_sum
 from .series import (
     AdditiveSeries,
     TruncSeries,
@@ -70,7 +92,7 @@ from .umbral import (
     UmbralMap,
     admissible_heuristic,
     apply_flow,
-    flow_coefficient,
+    flow_coefficients,
     umbral_eval,
 )
 
@@ -151,11 +173,17 @@ class AdditiveIso:
         return AdditiveIso(AdditiveSeries(self.ctx, inv.pcoeffs, exact=True))
 
     def apply(self, P: TruncSeries) -> TruncSeries:
-        """phi(P) = P(H(T)) = sum_j a_j H^j on P's own window."""
-        acc = TruncSeries.zero(self.ctx, P.trunc)
+        """phi(P) = P(H(T)) = sum_j a_j H^j on P's own window: one
+        ``product_sum`` per output coefficient m over the pairs
+        (a_j, [T^m] H^j)."""
+        n = P.trunc
+        sums = [[] for _ in range(n)]
         for j, a in P.terms:
-            acc = acc + self.gen_power(j, P.trunc).scale(a)
-        return acc
+            for m, c in self.gen_power(j, n).terms:
+                sums[m].append((a, c))
+        z = LaurentF.zero(self.ctx)
+        return TruncSeries(self.ctx, [product_sum(self.ctx, s) if s else z
+                                      for s in sums])
 
     def __repr__(self):
         return f"<additive iso, H = {self.H!r}>"
@@ -182,6 +210,7 @@ class DualMap(UmbralMap):
         self._integral = iso.H.exact and all(
             c.val_lower_bound() >= 0 for c in iso.H.pcoeffs)
         self._sums = {}     # x -> (sum length, precision cap)
+        self._integral_at = {}  # sum length -> computed H^(-1) integral
         self._moments = {}
 
     def _sum_at(self, x):
@@ -197,18 +226,34 @@ class DualMap(UmbralMap):
             got = self._sums[x] = (length, cap)
         return got
 
+    def moment_floor(self, x, n):
+        # see the module docstring: the cap past the sum's length, and
+        # min(cap, inner floor) while the computed H^(-1) is integral
+        length, cap = self._sum_at(x)
+        if n >= length:
+            return cap
+        integral = self._integral_at.get(length)
+        if integral is None:
+            integral = self._integral_at[length] = all(
+                c.val_lower_bound() >= 0
+                for c in self.iso.inverse_ts(length).coeffs)
+        inner = self.inner.moment_floor(x, n) if integral else None
+        return None if inner is None else min(cap, inner)
+
     def moment(self, x, k):
         if k == 0:
             return LaurentF.one(self.ctx)
-        length, cap = self._sum_at(x)
-        if k >= length:
-            # (H^(-1))^k starts at T^k: the whole sum is tail
-            return LaurentF.zero_at(self.ctx, cap)
         cache = self._moments.setdefault(x, {})
         got = cache.get(k)
         if got is None:
-            R = self.iso.hinv_power(k, length)
-            got = umbral_eval(R, self.inner, x, window=cap)
+            length, cap = self._sum_at(x)
+            floor = self.moment_floor(x, k)
+            if floor is not None and floor >= cap:
+                # every term of the sum is bounded at or past the cap
+                got = LaurentF.zero_at(self.ctx, cap)
+            else:
+                R = self.iso.hinv_power(k, length)
+                got = umbral_eval(R, self.inner, x, window=cap)
             cache[k] = got
         return got
 
@@ -329,14 +374,13 @@ def check_duality_diagram(inner: UmbralMap, iso: AdditiveIso, x: LaurentF,
         P = TruncSeries.monomial(inner.ctx, j, trunc)
         flowed = apply_flow(inner, x, P, require_admissible=False)
         lhs = iso.apply(flowed)
-        Q = iso.gen_power(j, big)
+        # one walk over the terms of H^j gives every coefficient h < trunc;
+        # the difference is known only below lhs_h.prec, so rhs terms
+        # bounded at or past it cannot move the agreement
+        rhs = flow_coefficients(dual, x, iso.gen_power(j, big),
+                                [c.prec for c in lhs.coeffs])
         for h in range(trunc):
-            # the difference is known only below lhs_h.prec, so rhs terms
-            # bounded at or past it cannot move the agreement
-            lhs_h = lhs.coeffs[h]
-            rhs_h = flow_coefficient(dual, x, Q, h, window=lhs_h.prec)
-            agreement = (lhs_h - rhs_h).val_lower_bound()
-            rep.record(agreement, prec,
+            rep.record(agreement_valuation(lhs.coeffs[h], rhs[h]), prec,
                        {"x": _key_of(x), "basis_j": j, "coefficient": h})
         rep.trials += 1
     return rep
@@ -348,7 +392,7 @@ def is_geometric_at(umap: UmbralMap, x: LaurentF, k_max: int, prec: int):
     power = first
     for k in range(2, k_max + 1):
         power = power * first
-        if (umap.moment(x, k) - power).val_lower_bound() < prec:
+        if agreement_valuation(umap.moment(x, k), power) < prec:
             return False, k
     return True, None
 
@@ -379,9 +423,9 @@ def check_geometric_criterion(inner: UmbralMap, iso: AdditiveIso,
     for j in range(basis):
         P = TruncSeries.monomial(inner.ctx, j, j + 1)
         shifted = taylor_shift(P, f1)
+        rhs = flow_coefficients(dual, x, P, (INF,) * (j + 1))
         for h in range(j + 1):
-            rhs_h = flow_coefficient(dual, x, P, h)
-            agreement = (shifted.coeffs[h] - rhs_h).val_lower_bound()
+            agreement = agreement_valuation(shifted.coeffs[h], rhs[h])
             if agreement < prec and flows_agree:
                 flows_agree = False
                 witness = {"basis_j": j, "coefficient": h,
@@ -419,7 +463,7 @@ def check_binomial(umap: UmbralMap, x: LaurentF, y: LaurentF, n_max: int,
         acc = product_sum(umap.ctx, [
             (umap.moment(x, k).scale(b), umap.moment(y, n - k))
             for k in range(n + 1) if (b := binom_mod_p(n, k, p))])
-        agreement = (lhs - acc).val_lower_bound()
+        agreement = agreement_valuation(lhs, acc)
         rep.record(agreement, prec, {"x": _key_of(x), "y": _key_of(y), "n": n})
         rep.trials += 1
     return rep

@@ -316,6 +316,25 @@ def _series_inv(ctx, codes, length):
 
 
 def agreement_valuation(x: LaurentF, y: LaurentF):
-    """Lower bound on v(x - y): INF means identical as exact values."""
-    return (x - y).val_lower_bound()
+    """Lower bound on v(x - y), equal to (x - y).val_lower_bound(): the
+    least of the two precisions and the exponent of the first digit where
+    x and y differ; INF means identical as exact values.  Neither -y nor
+    the difference is built: equal leading exponents compare the code
+    vectors, cut at the precision, as one XOR of two big ints."""
+    prec = min(x.prec, y.prec)
+    if not x.codes or not y.codes:
+        # a zero digit vector differs from the other first at its lead
+        nz = x if x.codes else y
+        return min(prec, nz.v) if nz.codes else prec
+    if x.v != y.v:
+        return min(prec, x.v, y.v)
+    cx, cy = x.codes, y.codes
+    n = max(len(cx), len(cy))
+    if prec != INF:
+        n = min(n, prec - x.v)
+    diff = int.from_bytes(cx[:n].ljust(n, b"\0"), "big") ^ \
+        int.from_bytes(cy[:n].ljust(n, b"\0"), "big")
+    if not diff:
+        return prec
+    return x.v + n - 1 - (diff.bit_length() - 1) // 8
 

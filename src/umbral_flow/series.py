@@ -36,7 +36,13 @@ from .errors import (
     NotAGeneratorError,
     TruncationMismatchError,
 )
-from .laurent import INF, LaurentF, json_fields, product_sum
+from .laurent import (
+    INF,
+    LaurentF,
+    agreement_valuation,
+    json_fields,
+    product_sum,
+)
 
 
 def top_place(p: int, n: int):
@@ -522,5 +528,5 @@ _EXACT_INV_PREC = 4 * 64  # fallback precision when inverting exact unit coeffs
 def series_agreement_valuation(P: TruncSeries, Q: TruncSeries):
     """min over shared coefficients of a lower bound on v(P_h - Q_h)."""
     n = min(P.trunc, Q.trunc)
-    return min(((P.coeffs[h] - Q.coeffs[h]).val_lower_bound()
+    return min((agreement_valuation(P.coeffs[h], Q.coeffs[h])
                 for h in range(n)), default=INF)

@@ -13,10 +13,16 @@ check against as an independent oracle (taylor_shift never goes through
 moments).
 
 The flow coefficient at X^h is the umbral evaluation of the h-th Hasse
-derivative of P, so ``flow_coefficient`` and ``umbral_eval`` (its h = 0
-case) run one windowed moment sum, ``_moment_sum``, which is one
-``laurent.product_sum``.  A finite window skips every term whose valuation
-bound reaches it.
+derivative of P, so ``flow_coefficient``, ``flow_coefficients`` and
+``umbral_eval`` (the h = 0 case) run one windowed moment sum,
+``_moment_sums``.  It walks the terms a_j of P once for any number of h:
+each term meets the h with C(j, h) non-zero mod p (over p = 2, the h whose
+bits lie under those of j), asks for each moment F_(j-h)(x) at most once,
+and each h's sum is one ``laurent.product_sum``.  The duality diagram reads
+every coefficient of one basis index from that one walk.  A finite window
+skips every term whose valuation bound reaches it, and asks the map's
+floor first, so that a term the floor already places past the window
+never computes its moment.
 
 ``apply_flow`` sums the whole window at once as sum_j a_j row_j, with
 row_j = sum_h F_(j-h)(x) X^h over the h whose C(j, h) is odd.  Over
@@ -25,7 +31,7 @@ code vector with block h at offset h*W, the products a_j row_j are one
 accumulated ``FieldCtx.convolve_sum``, and every output precision is a min
 over the same pairs, which is integer work.  Over odd p ``apply_flow``
 takes ``flow_coefficient`` per coefficient, which is also the reference
-for the packed sum and the windowed single reads of the duality checks.
+for the packed sum.
 
 Admissibility (F_k(x) -> 0) is only semi-decidable at finite precision, so
 the heuristic verdict is labeled "apparently"; the maps with an exact rule
@@ -39,6 +45,13 @@ moment definitions.  Powers of a first moment g with vlb(g(x)) >= 1 have
 n * vlb(g(x)).  The twisted map at a polynomial x has INF from its support
 q^(deg x + 1) on, since e_k(x) = 0 for k > deg x.  Dual maps size their sums
 and their precision by it.
+
+A map's floor, ``moment_floor(x, n)``, bounds the same valuations of the
+moments it *computes*, with their precision loss; the windowed sum trusts
+only the floor.  For powers of a first moment it is the tail bound, since
+a computed product keeps vlb(a * b) >= vlb(a) + vlb(b); for the twisted
+map too, since a computed e_k(x) past deg x is the exact zero.  A map that
+proves no floor (a bumped map, see ``duality``) has None.
 """
 
 from __future__ import annotations
@@ -85,6 +98,11 @@ class UmbralMap:
         limit in n, or None where none is known: INF from the support on."""
         return INF if n >= self.support(x) else None
 
+    def moment_floor(self, x: LaurentF, n: int):
+        """A lower bound on vlb of the computed F_m(x) for every m >= n, or
+        None where none is proven."""
+        return None
+
     def __repr__(self):
         return f"<{self.name} umbral map, prec={self.prec}>"
 
@@ -121,6 +139,10 @@ class _PowerMomentMap(UmbralMap):
         if b < 1:
             return None
         return n * b if n else 0
+
+    def moment_floor(self, x, n):
+        # computed powers keep vlb(a * b) >= vlb(a) + vlb(b)
+        return self.moment_bound(x, n)
 
 
 class AdditiveMap(_PowerMomentMap):
@@ -205,6 +227,10 @@ class TwistedMap(UmbralMap):
         # other x has deg x = INF, and so no support
         return self.ctx.q ** (x.poly_degree() + 1)
 
+    def moment_floor(self, x, n):
+        # past the support a computed moment is the exact zero
+        return self.moment_bound(x, n)
+
 
 def admissible_heuristic(umap: UmbralMap,
                          x: LaurentF) -> AdmissibilityVerdict:
@@ -232,61 +258,80 @@ def flow_coefficient(umap: UmbralMap, x: LaurentF, P: TruncSeries,
                      h: int, window=INF) -> LaurentF:
     """eps_h = sum_{k < M-h} C(k+h, h) a_{k+h} F_k(x), an exact finite sum,
     truncated at absolute precision ``window``: one ``product_sum`` over
-    the terms (see ``_moment_sum``).
+    the terms (see ``_moment_sums``).
 
     This is ``apply_flow``'s path over odd p and the reference for its
-    packed sum.  The duality checks call it directly for the single
-    coefficients they read.
+    packed sum.
     """
-    return _moment_sum(umap, x, P, h, window)
+    return _moment_sums(umap, x, P, (window,), h)[0]
+
+
+def flow_coefficients(umap: UmbralMap, x: LaurentF, P: TruncSeries,
+                      windows) -> list:
+    """The flow coefficients eps_h for h < len(windows), eps_h truncated
+    at windows[h]: one walk over the terms of P serves every h."""
+    return _moment_sums(umap, x, P, windows)
 
 
 def umbral_eval(Q: TruncSeries, umap: UmbralMap, x: LaurentF,
                 window=INF) -> LaurentF:
     """eval of sum_m q_m F(x)^m over the coefficient window of Q, truncated
     at absolute precision ``window``: the flow coefficient at h = 0."""
-    return _moment_sum(umap, x, Q, 0, window)
+    return _moment_sums(umap, x, Q, (window,))[0]
 
 
-def _moment_sum(umap, x, P, h, window):
-    # sum_{j >= h} C(j, h) a_j F_(j-h)(x) over the terms of P, truncated at
-    # ``window``.  Every term is visited; none is dropped for being small,
-    # since term valuations need not be monotone in j.  A term is skipped,
+@lru_cache(maxsize=1 << 14)
+def _binomial_row(j, lo, hi, p):
+    """The (h, C(j, h) mod p) with lo <= h < min(j + 1, hi) and the
+    binomial non-zero mod p, ascending.  Over p = 2 the binomial is 1 on
+    exactly the h whose bits lie under those of j (Lucas's theorem)."""
+    hs = range(lo, min(j + 1, hi))
+    if p == 2:
+        return tuple((h, 1) for h in hs if h & j == h)
+    return tuple((h, b) for h in hs if (b := binom_mod_p(j, h, p)))
+
+
+def _moment_sums(umap, x, P, windows, lo=0):
+    # For h = lo, lo + 1, ... (one h per window): the sum over the terms of
+    # P of C(j, h) a_j F_(j-h)(x), truncated at windows[h - lo], in one
+    # walk over the terms that asks for each moment at most once.  Every
+    # term is visited; none is dropped for being small, since term
+    # valuations need not be monotone in j.  A term is skipped,
     # unmultiplied, only when its own bound vlb(a_j) + vlb(F_(j-h)(x))
-    # reaches the window.  A product's digits and its precision are all at
+    # reaches its window.  A product's digits and its precision are all at
     # or past the sum of its factors' valuation bounds, so such a term adds
     # only digits that the truncation drops, and a precision at least the
     # window: the truncated sum is the same (v, codes, prec) with or
-    # without it.  With the default INF window this skips only moments that
-    # are exact zeros, whose products would add nothing.  At h = 0 every
-    # C(j, 0) is 1, so no binomial is looked up.
-    p = P.ctx.p
-    pairs = []
+    # without it.  Below a finite window the map's floor stands in for
+    # vlb(F_(j-h)(x)) before the moment is asked for, since it bounds the
+    # moment the map would compute.  With an INF window only moments that
+    # are exact zeros are skipped, whose products would add nothing.
+    ctx = P.ctx
+    hi = lo + len(windows)
+    sums = [[] for _ in windows]
+    floors, moments = {}, {}
     for j, a in P.terms:
-        if h:
-            if j < h:
-                continue
-            b = binom_mod_p(j, h, p)
-            if b == 0:
-                continue
-            if b != 1:
-                a = a.scale(b)
-        fk = None
-        if j > h:
-            fk = umap.moment(x, j - h)
-            if a.val_lower_bound() + fk.val_lower_bound() >= window:
-                continue
-        pairs.append((a, fk))
-    return product_sum(P.ctx, pairs, window)
-
-
-@lru_cache(maxsize=None)
-def _odd_binomial_rows(n):
-    """For each j < n, the h <= j with C(j, h) odd, ascending.  By Lucas's
-    theorem these are the h whose bits lie under those of j: 81 in all for
-    n = 16."""
-    return tuple(tuple(h for h in range(j + 1) if h & j == h)
-                 for j in range(n))
+        if j < lo:
+            continue
+        va = a.val_lower_bound()
+        # at h = 0 alone every C(j, 0) is 1, and no binomial is looked up
+        row = ((0, 1),) if hi == 1 else _binomial_row(j, lo, hi, ctx.p)
+        for h, b in row:
+            fk = None
+            if j > h:
+                k, w = j - h, windows[h - lo]
+                if w != INF:
+                    if k not in floors:
+                        floors[k] = umap.moment_floor(x, k)
+                    if floors[k] is not None and va + floors[k] >= w:
+                        continue
+                fk = moments.get(k)
+                if fk is None:
+                    fk = moments[k] = umap.moment(x, k)
+                if va + fk.val_lower_bound() >= w:
+                    continue
+            sums[h - lo].append((a if b == 1 else a.scale(b), fk))
+    return [product_sum(ctx, s, w) for s, w in zip(sums, windows)]
 
 
 def apply_flow(umap: UmbralMap, x: LaurentF, P: TruncSeries,
@@ -322,7 +367,6 @@ def _flow_packed(umap, x, P):
     # min over pairs (j, h) of min(prec_a + vlb_F, prec_F + vlb_a); F_0 = 1
     # is exact.
     ctx, n = P.ctx, P.trunc
-    rows = _odd_binomial_rows(n)
     moments = {0: LaurentF.one(ctx)}
     precs = [INF] * n
     coded = []
@@ -332,7 +376,7 @@ def _flow_packed(umap, x, P):
         pa, va = a.prec, a.val_lower_bound()
         if a.codes:
             coded.append((j, a))
-        for h in rows[j]:
+        for h, _ in _binomial_row(j, 0, n, 2):
             f = moments.get(j - h)
             if f is None:
                 f = moments[j - h] = umap.moment(x, j - h)
@@ -350,7 +394,7 @@ def _flow_packed(umap, x, P):
     triples = []
     for j, a in coded:
         row = bytearray(j * width + f_hi - f_lo)
-        for h in rows[j]:
+        for h, _ in _binomial_row(j, 0, n, 2):
             f = moments[j - h]
             if f.codes:
                 at = h * width + f.v - f_lo

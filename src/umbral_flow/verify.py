@@ -37,7 +37,7 @@ from .duality import (
 )
 from .errors import UmbralFlowError, UnknownClaimError
 from .fq import PolyA
-from .laurent import INF, LaurentF
+from .laurent import INF, LaurentF, agreement_valuation
 from .series import (
     AdditiveSeries,
     TruncSeries,
@@ -432,7 +432,7 @@ def claim_example57(cfg: Config) -> DualityReport:
     for i in range(n_trials):
         x = smp.unit_ball()
         for k in range(9):
-            agreement = (dual.moment(x, k) - NM.moment(x, k)).val_lower_bound()
+            agreement = agreement_valuation(dual.moment(x, k), NM.moment(x, k))
             rep.record(agreement, cfg.prec, {"trial": i, "k": k})
         P = smp.bounded_series(cfg.trunc)
         lhs = apply_flow(dual, x, P, require_admissible=False)
@@ -465,7 +465,7 @@ def claim_example58(cfg: Config) -> DualityReport:
     for poly in points:
         x = LaurentF.from_poly(poly)
         acc = cctx._window_sum(lambda k: term(x, k), target)
-        agreement = (acc - cctx.exp_sum(x, target)).val_lower_bound()
+        agreement = agreement_valuation(acc, cctx.exp_sum(x, target))
         rep.record(agreement, target, {"x": repr(poly)})
         rep.trials += 1
     return rep
@@ -499,8 +499,8 @@ def claim_iso_roundtrip(cfg: Config) -> DualityReport:
         inv = H.inverse(length=6)
         for comp in (H.compose(inv), inv.compose(H)):
             agreement = min(
-                ((comp.coeff(k) - (LaurentF.one(ctx) if k == 0
-                                   else LaurentF.zero(ctx))).val_lower_bound()
+                (agreement_valuation(comp.coeff(k), LaurentF.one(ctx) if k == 0
+                                     else LaurentF.zero(ctx))
                  for k in range(min(comp.length, 6))), default=INF)
             rep.record(agreement, cfg.prec, {"part": "inverse", "trial": i})
         rep.trials += 1
@@ -517,7 +517,8 @@ def claim_iso_roundtrip(cfg: Config) -> DualityReport:
         twice = DualMap(once, back, prec=cfg.prec)
         x = smp.poly_elem(2, nonzero=True) if use_twisted else smp.unit_ball()
         for k in range(9):
-            agreement = (twice.moment(x, k) - base.moment(x, k)).val_lower_bound()
+            agreement = agreement_valuation(twice.moment(x, k),
+                                            base.moment(x, k))
             rep.record(agreement, cfg.prec,
                        {"part": "dual-of-dual", "trial": i, "k": k})
         rep.trials += 1
@@ -531,7 +532,8 @@ def claim_iso_roundtrip(cfg: Config) -> DualityReport:
         direct = DualMap(S, iso_c, prec=cfg.prec)
         x = smp.unit_ball()
         for k in range(9):
-            agreement = (step.moment(x, k) - direct.moment(x, k)).val_lower_bound()
+            agreement = agreement_valuation(step.moment(x, k),
+                                            direct.moment(x, k))
             rep.record(agreement, cfg.prec,
                        {"part": "compose", "trial": i, "k": k})
         rep.trials += 1

@@ -19,7 +19,12 @@ from umbral_flow.errors import (
     TruncationMismatchError,
 )
 from umbral_flow.fq import PolyA
-from umbral_flow.laurent import INF, LaurentF, agreement_valuation
+from umbral_flow.laurent import (
+    INF,
+    LaurentF,
+    agreement_valuation,
+    product_sum,
+)
 from umbral_flow.series import (
     AdditiveSeries,
     TruncSeries,
@@ -34,6 +39,7 @@ from umbral_flow.umbral import (
     TwistedMap,
     apply_flow,
     flow_coefficient,
+    flow_coefficients,
     umbral_eval,
 )
 from umbral_flow.verify import ec_generator, ec_iso, ex58_iso, ex58_series
@@ -146,6 +152,36 @@ def test_hinv_power_matches_repeated_products(cc_name, request,
         for k in range(1, 28):
             ref = ref * step
             assert_refines(iso.hinv_power(k, trunc), ref)
+
+
+def _apply_scale_add(iso, P):
+    """phi(P) as the sum of the scaled powers a_j H^j: one series scale
+    and one series add per term."""
+    acc = TruncSeries.zero(P.ctx, P.trunc)
+    for j, a in P.terms:
+        acc = acc + iso.gen_power(j, P.trunc).scale(a)
+    return acc
+
+
+@pytest.mark.parametrize("cc_name", ["cc2", "cc3", "cc4"])
+def test_apply_iso_matches_scale_and_add(cc_name, request):
+    # one product sum per output coefficient against the scale-and-add
+    # loop, on random P with exact zeros, zeros at precision and exact
+    # coefficients among the finite ones
+    cctx = request.getfixturevalue(cc_name)
+    ctx = cctx.field
+    rng = random.Random(19)
+    for iso in _test_isos(cctx, rng, M):
+        for _ in range(4):
+            coeffs = list(_rand_series(ctx, rng, v_lo=-2).coeffs)
+            for j in rng.sample(range(M), 5):
+                coeffs[j] = rng.choice([
+                    LaurentF.zero(ctx), LaurentF.zero_at(ctx, N // 2),
+                    LaurentF.one(ctx), LaurentF(ctx, -1, [1, 0, 1], INF)])
+            P = TruncSeries(ctx, coeffs)
+            got, want = iso.apply(P), _apply_scale_add(iso, P)
+            assert [_state(c) for c in got.coeffs] == \
+                [_state(c) for c in want.coeffs]
 
 
 def test_apply_iso_needs_generator_in_window(F2):
@@ -590,7 +626,10 @@ def test_dual_rule_matches_forced_scan(monkeypatch):
 def test_dual_moment_counts_pinned(monkeypatch):
     # the dual moments each dual-map claim computes at a small F_2 config.
     # With the window scan deciding dual admissibility, duality computed
-    # 131 and geometric 146
+    # 131 and geometric 146.  Before moment floors (every dual moment a
+    # windowed sum asked for computed, and zero past the cap only from the
+    # sum's length on) the counts were duality 70, geometric 65,
+    # dual-binomial 16, example57 8 and iso-roundtrip 96
     from umbral_flow import duality
     from umbral_flow.config import Config
     from umbral_flow.verify import run_claim
@@ -610,5 +649,195 @@ def test_dual_moment_counts_pinned(monkeypatch):
         calls[0] = 0
         run_claim(claim, cfg)
         got[claim] = calls[0]
-    assert got == {"duality": 70, "geometric": 65, "dual-binomial": 16,
-                   "example57": 8, "iso-roundtrip": 96}
+    assert got == {"duality": 43, "geometric": 43, "dual-binomial": 3,
+                   "example57": 8, "iso-roundtrip": 63}
+
+
+def _ref_moment_sum(umap, x, P, h, window):
+    """The windowed moment sum without floors: every moment a term meets is
+    computed, and the term skipped only when its computed bound
+    vlb(a_j) + vlb(F_(j-h)(x)) reaches the window."""
+    pairs = []
+    for j, a in P.terms:
+        b = binom_mod_p(j, h, P.ctx.p)
+        if b == 0:
+            continue
+        a = a.scale(b)
+        fk = None
+        if j > h:
+            fk = umap.moment(x, j - h)
+            if a.val_lower_bound() + fk.val_lower_bound() >= window:
+                continue
+        pairs.append((a, fk))
+    return product_sum(P.ctx, pairs, window)
+
+
+def _ref_dual_moment(dual, x, k):
+    """A dual moment summed by the reference loop: every term below the
+    sum's length, zero at the cap only from that length on."""
+    length, cap = dual._sum_at(x)
+    if k == 0:
+        return LaurentF.one(dual.ctx)
+    if k >= length:
+        return LaurentF.zero_at(dual.ctx, cap)
+    return _ref_moment_sum(dual.inner, x, dual.iso.hinv_power(k, length), 0,
+                           cap)
+
+
+class _RefDual(DualMap):
+    """A dual map whose moments come from the reference loop alone."""
+
+    def moment_floor(self, x, n):
+        return None
+
+    def moment(self, x, k):
+        cache = self._moments.setdefault(x, {})
+        if k not in cache:
+            cache[k] = _ref_dual_moment(self, x, k)
+        return cache[k]
+
+
+def _floor_cases(cctx, rng):
+    """(name, map, reference twin, point): both duality legs, a bumped dual
+    of each, a dual under a generator whose inverse is not integral, and a
+    dual of a dual."""
+    ctx = cctx.field
+    glen = plen(ctx.q, M)
+    isoA = ec_iso(cctx, glen, N + 32)
+    iso58 = ex58_iso(cctx, glen, N + 32)
+    # H = T + t^2 T^p: the inverse's coefficients fall without limit
+    t = PolyA.t(ctx)
+    wild = AdditiveIso(AdditiveSeries(ctx, [LaurentF.one(ctx),
+                                            LaurentF.from_poly(t * t)]))
+    S = AdditiveMap(cctx, N)
+    T = TwistedMap(cctx, N, inv_prec_pad=64)
+    xs = _unit_x(ctx, rng)
+    xt = LaurentF.from_poly(PolyA(ctx, [rng.randrange(ctx.q)
+                                        for _ in range(glen - 1)] + [1]))
+    bump = LaurentF(ctx, -1, [1, 1], 40)
+    cases = []
+    for name, inner, iso, x in (("additive", S, isoA, xs),
+                                ("twisted", T, iso58, xt),
+                                ("wild", S, wild, xs)):
+        new, ref = DualMap(inner, iso, prec=N), _RefDual(inner, iso, prec=N)
+        cases.append((name, new, ref, x))
+        if name != "wild":
+            k = rng.randrange(1, 8)
+            cases.append((name + "+bump", PerturbedMap(new, k, bump),
+                          PerturbedMap(ref, k, bump), x))
+    once = DualMap(S, isoA, prec=N)
+    back = isoA.inverse_iso(length=plen(ctx.p, once.eval_len))
+    cases.append(("dual-of-dual", DualMap(once, back, prec=N),
+                  _RefDual(_RefDual(S, isoA, prec=N), back, prec=N), xs))
+    return cases
+
+
+@pytest.mark.parametrize("cc_name", ["cc2", "cc3", "cc4"])
+def test_floored_sums_match_reference_loop(cc_name, request):
+    # the windowed sums with moment floors against the loop that computes
+    # every moment, (v, codes, prec), at random windows: one walk for all
+    # h, one h, and h = 0; then every dual moment up to the length + 2
+    cctx = request.getfixturevalue(cc_name)
+    ctx = cctx.field
+    rng = random.Random(35)
+    asked = {"new": 0, "ref": 0}
+    for name, new, ref, x in _floor_cases(cctx, rng):
+        dual = new.base if isinstance(new, PerturbedMap) else new
+        iso = dual.iso
+        big = max(iso.degree_bound(3) + 1, M)
+        series = [iso.gen_power(j, big) for j in (1, 2, 3)] + \
+            [_rand_series(ctx, rng, trunc=20, v_lo=-2)]
+        for Q in series:
+            windows = [rng.choice([INF, rng.randint(-8, 90)])
+                       for _ in range(M)]
+            got = flow_coefficients(new, x, Q, windows)
+            for h, w in enumerate(windows):
+                want = _ref_moment_sum(ref, x, Q, h, w)
+                assert _state(got[h]) == _state(want), (name, h, w)
+                assert _state(flow_coefficient(new, x, Q, h, w)) == \
+                    _state(want), (name, h, w)
+            w = rng.randint(0, 90)
+            assert _state(umbral_eval(Q, new, x, w)) == \
+                _state(_ref_moment_sum(ref, x, Q, 0, w)), (name, w)
+        if not isinstance(new, PerturbedMap):
+            asked["new"] += len(new._moments[x])
+            asked["ref"] += len(ref._moments[x])
+        length = dual._sum_at(x)[0]
+        for k in range(length + 3):
+            assert _state(new.moment(x, k)) == _state(ref.moment(x, k)), \
+                (name, k)
+    # the floors decided some terms before their moments were asked for
+    assert asked["new"] < asked["ref"]
+
+
+@pytest.mark.parametrize("fld", [{"p": 2}, {"p": 3},
+                                 {"p": 2, "d": 2, "modulus": (1, 1, 1)}],
+                         ids=["F2", "F3", "F4"])
+def test_moment_floor_bounds_computed_moments(fld, monkeypatch):
+    # at the sample points of the dual-map claims, every dual moment up to
+    # the sum's length + 2, as DualMap computes it and as the reference
+    # loop computes it, lies at or past the map's floor
+    from umbral_flow.config import Config
+    from umbral_flow.verify import run_claim
+
+    seen = {}
+    sum_at = DualMap._sum_at
+
+    def spy(self, x):
+        seen.setdefault((id(self), x), (self, x))
+        return sum_at(self, x)
+
+    monkeypatch.setattr(DualMap, "_sum_at", spy)
+    cfg = Config(**fld, prec=32, trunc=8, basis=6, trials=4, seed=0)
+    for claim in ("duality", "geometric", "example57", "iso-roundtrip"):
+        run_claim(claim, cfg)
+    monkeypatch.setattr(DualMap, "_sum_at", sum_at)
+    floored = 0
+    for dual, x in seen.values():
+        length, cap = dual._sum_at(x)
+        for k in range(length + 3):
+            floor = dual.moment_floor(x, k)
+            if floor is None:
+                continue
+            floored += 1
+            assert dual.moment(x, k).val_lower_bound() >= floor, k
+            assert _ref_dual_moment(dual, x, k).val_lower_bound() >= floor, k
+    assert floored
+
+
+def test_duality_diagram_counts_at_benchmark_shape(monkeypatch):
+    # one diagram per leg of the duality claim at the benchmark's shape
+    # (F_2, prec 64, trunc 16, basis 12), at each leg's first sample point:
+    # the dual moments computed and the (H^(-1))^k rows built.  Computing
+    # every dual moment the sums met, the additive leg computed 52 moments
+    # and built 76 rows, the twisted leg (support 8) 52 and 76
+    from umbral_flow import duality
+    from umbral_flow.config import Config
+    from umbral_flow.verify import Sampler, _rng
+
+    calls = [0]
+    umbral_eval_of = duality.umbral_eval
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return umbral_eval_of(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "umbral_eval", counted)
+    cfg = Config(p=2, prec=64, trunc=16, basis=12, trials=20, seed=0)
+    cctx = cfg.carlitz_ctx()
+    smp = Sampler(cctx.field, _rng(cfg, "duality"), cfg.prec)
+    glen = plen(cfg.q, cfg.trunc)
+    legs = [(AdditiveMap(cctx, cfg.prec), ec_iso(cctx, glen, cfg.prec + 32),
+             smp.unit_ball()),
+            (TwistedMap(cctx, cfg.prec, inv_prec_pad=64),
+             ex58_iso(cctx, glen, cfg.prec + 32),
+             smp.poly_elem(glen - 1, nonzero=True))]
+    got = {}
+    for inner, iso, x in legs:
+        calls[0] = 0
+        rep = check_duality_diagram(inner, iso, x, cfg.basis, cfg.trunc,
+                                    cfg.prec)
+        assert rep.passed
+        got[inner.name] = (calls[0], {length: len(powers) - 1 for length,
+                                      (powers, _) in iso._hinv_powers.items()})
+    assert got == {"additive": (25, {80: 28}), "twisted": (7, {80: 7})}

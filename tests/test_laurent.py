@@ -292,6 +292,65 @@ def test_product_sum_matches_loop(case):
     assert (got.v, got.codes, got.prec) == (want.v, want.codes, want.prec)
 
 
+@st.composite
+def _agreement_case(draw):
+    # y is drawn on its own, or made from x so that the two share their
+    # lead and differ late, or not at all: x itself, x cut at a precision,
+    # x with one digit changed, or x moved past its own window
+    ctx = field(*_DIFF_FIELDS[draw(st.sampled_from(["F2", "F3", "F4"]))])
+    x = _draw_value(draw, ctx)
+    kind = draw(st.sampled_from(["independent", "same", "cut", "digit",
+                                 "apart"]))
+    if kind == "independent":
+        return ctx, x, _draw_value(draw, ctx)
+    if kind == "same":
+        return ctx, x, LaurentF(ctx, x.v, x.codes, x.prec)
+    if kind == "cut":
+        return ctx, x, x.truncate(x.v + draw(st.integers(-2, 30)))
+    if kind == "digit":
+        i = draw(st.integers(0, 30))
+        codes = bytearray(x.codes.ljust(i + 1, b"\0"))
+        codes[i] = (codes[i] + draw(st.integers(1, ctx.q - 1))) % ctx.q
+        prec = draw(st.sampled_from([x.prec, INF, x.v + i + 1]))
+        return ctx, x, LaurentF(ctx, x.v, codes, max(prec, x.v + i + 1))
+    v = x.v + len(x.codes) + draw(st.integers(0, 6))
+    return ctx, x, LaurentF(ctx, v, [1] + [draw(st.integers(0, ctx.q - 1))
+                                           for _ in range(4)],
+                            draw(st.sampled_from([INF, v + 8])))
+
+
+@given(_agreement_case())
+@settings(max_examples=400, deadline=None)
+def test_agreement_valuation_matches_difference(case):
+    ctx, x, y = case
+    for a, b in ((x, y), (y, x)):
+        assert agreement_valuation(a, b) == (a - b).val_lower_bound()
+
+
+def test_agreement_valuation_cases(F2, F3, F4):
+    for ctx in (F2, F3, F4):
+        z, top = LaurentF.zero(ctx), ctx.q - 1
+        x = LaurentF(ctx, -2, [1, 0, top, 1], 20)
+        same_lead = LaurentF(ctx, -2, [1, 0, top, 0, 0, 1], 30)
+        cases = [
+            (z, z, INF),                                   # exact zero
+            (x, x, 20),
+            (z, LaurentF.zero_at(ctx, 9), 9),              # zero at prec
+            (LaurentF.zero_at(ctx, 9), x, -2),
+            (LaurentF.zero_at(ctx, -5), x, -5),
+            (x, same_lead, 1),                             # first at -2 + 3
+            (x, x.truncate(0), 0),
+            (x, LaurentF(ctx, 5, [1], INF), -2),           # apart
+            (LaurentF(ctx, 7, [1, 1], INF),
+             LaurentF(ctx, 12, [top], INF), 7),
+            (LaurentF.one(ctx), LaurentF.one(ctx), INF),
+        ]
+        for a, b, want in cases:
+            assert agreement_valuation(a, b) == want, (a, b)
+            assert agreement_valuation(b, a) == want, (b, a)
+            assert (a - b).val_lower_bound() == want, (a, b)
+
+
 def test_poly_degree(F2):
     t = LaurentF(F2, -1, [1], INF)
     assert LaurentF.zero(F2).poly_degree() == -1
