@@ -68,11 +68,9 @@ class CarlitzCtx:
         """1/D_k as a Laurent value accurate to at least ``prec``.
 
         D_k is monic of degree k*q^k, so 1/D_k has valuation k*q^k and is
-        zero below any ``prec`` up to that: D_k is then not built.  A k
-        past the enumeration cap still raises, as building D_k would, so the
-        cap still bounds how far a Carlitz sum reaches."""
-        q = self.field.q
-        if prec <= k * q ** k and q ** (k + 1) <= self.cap:
+        zero below any ``prec`` up to that: D_k is then not built, whatever
+        the enumeration cap.  The cap bounds only a D_k that is built."""
+        if prec <= k * self.field.q ** k:
             return LaurentF.zero_at(self.field, prec)
         key = (k, prec)
         got = self._dk_inv.get(key)
@@ -86,7 +84,7 @@ class CarlitzCtx:
         exact zero, from no factor, at a polynomial x of degree < k."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        if x.poly_degree() < k and self.field.q ** (k + 1) <= self.cap:
+        if x.poly_degree() < k:
             return LaurentF.zero(self.field)
         prod = None
         for eps in enumerate_polys(self.field, k, False, cap=self.cap):

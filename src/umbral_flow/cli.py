@@ -110,12 +110,12 @@ def parse_poly(ctx, text: str) -> PolyA:
     return PolyA(ctx, [codes.get(i, 0) for i in range(n)])
 
 
-def parse_element(ctx, text: str, prec=INF) -> LaurentF:
-    """Polynomial text, or '@file.json' holding a Laurent literal."""
+def parse_element(ctx, text: str) -> LaurentF:
+    """Polynomial text, exact, or '@file.json' holding a Laurent literal."""
     if text.startswith("@"):
         with open(text[1:]) as fh:
             return LaurentF.from_json(ctx, json.load(fh))
-    return LaurentF.from_poly(parse_poly(ctx, text), prec)
+    return LaurentF.from_poly(parse_poly(ctx, text))
 
 
 # ---------------------------------------------------------------------------

@@ -291,15 +291,13 @@ class PerturbedMap(UmbralMap):
 class DualityReport:
     """Outcome of one verification check; ``passed`` iff no failure survived."""
 
-    def __init__(self, claim: str, params: dict, trials: int = 0,
-                 failures: list | None = None,
-                 min_agreement_valuation=INF, notes: list | None = None):
+    def __init__(self, claim: str, params: dict):
         self.claim = claim
         self.params = params
-        self.trials = trials
-        self.failures = [] if failures is None else failures
-        self.min_agreement_valuation = min_agreement_valuation
-        self.notes = [] if notes is None else notes
+        self.trials = 0
+        self.failures = []
+        self.min_agreement_valuation = INF
+        self.notes = []
 
     @property
     def passed(self):

@@ -26,8 +26,12 @@ Code vectors are ``bytes``, one code per byte, lowest index first, and the
   the unreduced product digits of one coefficient fold into one byte that
   a 256-entry table reduces mod f(u).  Short products and larger fields
   take the per-coefficient table loop, the reference for the packed paths;
-* ``convolve_sum`` over p = 2 XORs all its shifted plane products into one
-  set of 2d-1 big ints, unpacked once; other fields add one at a time.
+* ``convolve_sum`` over p = 2 XORs all its plane products into one set of
+  2d-1 big ints, unpacked once.  Each product is moved into place after
+  the multiply, so no multiply is as long as the whole sum; for d > 1 the
+  products that share one operand are one multiply, by the sum of the
+  other operands, as multiplication is bilinear over F_2.  Other fields
+  add one product at a time.
 
 Polynomials in t carry their coefficients as a code vector, lowest degree
 first, with no trailing zeros.  The degree of the zero polynomial is the
@@ -61,6 +65,20 @@ _PACK_MIN_OPS = 48
 # Kronecker slot widths in bytes, narrowest first -> array typecode of an
 # unsigned slot of that width
 _SLOT_FMT = {array.array(c).itemsize: c for c in "BHIQ"}
+
+
+def _row_sum(row):
+    # the (ys, k0) whose product by any xs is, over F_2, the sum of the
+    # products by each (ys, k) of the row moved up k - k0 places, k0 the
+    # least k: the codes are added as one XOR of big ints
+    if len(row) == 1:
+        return row[0]
+    k0 = min(k for _, k in row)
+    acc = 0
+    for ys, k in row:
+        acc ^= int.from_bytes(ys, "little") << 8 * (k - k0)
+    return acc.to_bytes(max(k - k0 + len(ys) for ys, k in row),
+                        "little"), k0
 
 
 def is_prime(n):
@@ -329,7 +347,10 @@ class FieldCtx:
     def convolve_sum(self, triples):
         """The code vector that acc = add(acc, convolve(xs, ys), k) gives
         from acc = b"" over the (xs, ys, k) triples.  Over p = 2, in a field
-        that packs, one bit-plane sum at its widest product's slot width."""
+        that packs, one bit-plane sum at its widest product's slot width.
+        For d > 1, where a product costs d^2 plane multiplies, the triples
+        that share xs make one product: xs by the sum of their ys, each
+        moved up k places, which over F_2 is the sum of their products."""
         if self._taps is None or not triples:
             acc = b""
             for xs, ys, k in triples:
@@ -337,7 +358,16 @@ class FieldCtx:
             return acc
         n = max(k + len(xs) + len(ys) - 1 if xs and ys else k
                 for xs, ys, k in triples)
-        nb = max(self._slot_width(xs, ys) for xs, ys, _ in triples)
+        if self.d > 1:
+            rows = {}
+            for xs, ys, k in triples:
+                if xs and ys:
+                    rows.setdefault(xs, []).append((ys, k))
+            triples = [(xs, *_row_sum(row)) for xs, row in rows.items()]
+        # over p = 2 a slot sums at most min(len) bits, so only a triple
+        # with min(len) > 255 can need a slot wider than one byte
+        nb = max((self._slot_width(xs, ys) for xs, ys, _ in triples
+                  if min(len(xs), len(ys)) > 255), default=1)
         return self._convolve_planes(triples, nb, n)
 
     def _slot_width(self, xs, ys):
@@ -373,8 +403,10 @@ class FieldCtx:
         # products combined by XOR keep each slot's parity, and slots never
         # carry, so the low bit of slot i of c_m = XOR_{k+l=m} a_k * b_l is
         # the u^m digit of output coefficient i, also with each triple's
-        # products moved up k slots.  u^d = sum_{taps} u^i folds planes
-        # 2d-2 .. d down, and one mask reads the low bits of n slots.
+        # products moved up k slots.  The planes are multiplied unshifted
+        # and the product is moved, so that no multiply is as long as the
+        # whole sum.  u^d = sum_{taps} u^i folds planes 2d-2 .. d down, and
+        # one mask reads the low bits of n slots.
         d = self.d
         if d == 1 and nb == 1:  # F_2 at one-byte slots: codes are the plane
             acc = 0
@@ -383,7 +415,7 @@ class FieldCtx:
                         * int.from_bytes(ys, "little")) << 8 * k
             return acc.to_bytes(n, "little").translate(self._digit[0])
 
-        def planes(vs, k=0):
+        def planes(vs):
             codes = bytes(vs)
             out = []
             for tab in self._digit:
@@ -392,15 +424,15 @@ class FieldCtx:
                     buf = bytearray(len(codes) * nb)
                     buf[::nb] = bits
                     bits = buf
-                out.append(int.from_bytes(bits, "little") << 8 * nb * k)
+                out.append(int.from_bytes(bits, "little"))
             return out
 
         c = [0] * (2 * d - 1)
         for xs, ys, k in triples:
-            bs = planes(ys)
-            for i, a in enumerate(planes(xs, k)):
+            bs, shift = planes(ys), 8 * nb * k
+            for i, a in enumerate(planes(xs)):
                 for m, b in enumerate(bs, i):
-                    c[m] ^= a * b
+                    c[m] ^= a * b << shift
         for m in range(2 * d - 2, d - 1, -1):
             for i in self._taps:
                 c[m - d + i] ^= c[m]

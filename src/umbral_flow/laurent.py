@@ -62,8 +62,8 @@ class LaurentF:
         return cls(ctx, 0, (), INF)
 
     @classmethod
-    def one(cls, ctx, prec=INF):
-        return cls(ctx, 0, (1,), prec)
+    def one(cls, ctx):
+        return cls(ctx, 0, (1,), INF)
 
     @classmethod
     def from_poly(cls, poly: PolyA, prec=INF):

@@ -399,9 +399,8 @@ class AdditiveSeries:
         return cls(ctx, (LaurentF.one(ctx),), exact=True)
 
     @classmethod
-    def linear(cls, gamma: LaurentF, length=1):
-        z = LaurentF.zero(gamma.ctx)
-        return cls(gamma.ctx, (gamma,) + (z,) * (length - 1), exact=True)
+    def linear(cls, gamma: LaurentF):
+        return cls(gamma.ctx, (gamma,), exact=True)
 
     def coeff(self, i):
         return self.pcoeffs[i]

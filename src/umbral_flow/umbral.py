@@ -13,25 +13,18 @@ check against as an independent oracle (taylor_shift never goes through
 moments).
 
 The flow coefficient at X^h is the umbral evaluation of the h-th Hasse
-derivative of P, so ``flow_coefficient``, ``flow_coefficients`` and
-``umbral_eval`` (the h = 0 case) run one windowed moment sum,
-``_moment_sums``.  It walks the terms a_j of P once for any number of h:
-each term meets the h with C(j, h) non-zero mod p (over p = 2, the h whose
-bits lie under those of j), asks for each moment F_(j-h)(x) at most once,
-and each h's sum is one ``laurent.product_sum``.  The duality diagram reads
-every coefficient of one basis index from that one walk.  A finite window
-skips every term whose valuation bound reaches it, and asks the map's
-floor first, so that a term the floor already places past the window
-never computes its moment.
-
-``apply_flow`` sums the whole window at once as sum_j a_j row_j, with
-row_j = sum_h F_(j-h)(x) X^h over the h whose C(j, h) is odd.  Over
-characteristic 2, where adding two code vectors is one XOR, row_j is one
-code vector with block h at offset h*W, the products a_j row_j are one
-accumulated ``FieldCtx.convolve_sum``, and every output precision is a min
-over the same pairs, which is integer work.  Over odd p ``apply_flow``
-takes ``flow_coefficient`` per coefficient, which is also the reference
-for the packed sum.
+derivative of P, so ``apply_flow``, ``flow_coefficient``,
+``flow_coefficients`` and ``umbral_eval`` (the h = 0 case) run one walk,
+``_moment_sums``, and one accumulated convolution, over every p.  The walk
+visits the terms a_j of P once for any number of h: each term meets the h
+with C(j, h) non-zero mod p (over p = 2, the h whose bits lie under those
+of j) and asks for each moment F_(j-h)(x) at most once.  Every product
+C(j, h) a_j F_(j-h)(x) it keeps goes, shifted into block h, into one
+``FieldCtx.convolve_sum``; each block's precision is a min over its pairs,
+which is integer work.  The duality diagram reads every coefficient of one
+basis index from that one walk.  A finite window skips every term whose
+valuation bound reaches it, and asks the map's floor first, so that a term
+the floor already places past the window never computes its moment.
 
 Admissibility (F_k(x) -> 0) is only semi-decidable at finite precision, so
 the heuristic verdict is labeled "apparently"; the maps with an exact rule
@@ -61,7 +54,7 @@ from functools import lru_cache
 
 from .carlitz import CarlitzCtx
 from .errors import PreconditionFailedError
-from .laurent import INF, LaurentF, product_sum
+from .laurent import INF, LaurentF
 from .series import TruncSeries, binom_mod_p
 
 
@@ -257,12 +250,9 @@ def admissible_heuristic(umap: UmbralMap,
 def flow_coefficient(umap: UmbralMap, x: LaurentF, P: TruncSeries,
                      h: int, window=INF) -> LaurentF:
     """eps_h = sum_{k < M-h} C(k+h, h) a_{k+h} F_k(x), an exact finite sum,
-    truncated at absolute precision ``window``: one ``product_sum`` over
-    the terms (see ``_moment_sums``).
-
-    This is ``apply_flow``'s path over odd p and the reference for its
-    packed sum.
-    """
+    truncated at absolute precision ``window``: the one walk and the one
+    accumulated convolution of ``apply_flow``, for the one h (see
+    ``_moment_sums``)."""
     return _moment_sums(umap, x, P, (window,), h)[0]
 
 
@@ -306,9 +296,18 @@ def _moment_sums(umap, x, P, windows, lo=0):
     # vlb(F_(j-h)(x)) before the moment is asked for, since it bounds the
     # moment the map would compute.  With an INF window only moments that
     # are exact zeros are skipped, whose products would add nothing.
+    #
+    # Every sum is one accumulated ``FieldCtx.convolve_sum``: the product
+    # of a kept pair lands in block h - lo, at offset
+    # (h - lo) * W + v_a + v_F - v0, where v0 is the least v_a + v_F and W
+    # the widest span from v0 of any product, so that no two blocks meet.
+    # Each product's digits are exact, so block h is cut once, at the least
+    # of its window and its pairs' precisions
+    # min(prec_a + vlb_F, prec_F + vlb_a); F_0 = 1 is exact.
     ctx = P.ctx
     hi = lo + len(windows)
-    sums = [[] for _ in windows]
+    precs = list(windows)
+    kept = []  # (h - lo, codes of C(j, h) a_j, v_a + v_F, codes of F)
     floors, moments = {}, {}
     for j, a in P.terms:
         if j < lo:
@@ -317,9 +316,9 @@ def _moment_sums(umap, x, P, windows, lo=0):
         # at h = 0 alone every C(j, 0) is 1, and no binomial is looked up
         row = ((0, 1),) if hi == 1 else _binomial_row(j, lo, hi, ctx.p)
         for h, b in row:
-            fk = None
+            i = h - lo
             if j > h:
-                k, w = j - h, windows[h - lo]
+                k, w = j - h, windows[i]
                 if w != INF:
                     if k not in floors:
                         floors[k] = umap.moment_floor(x, k)
@@ -328,80 +327,36 @@ def _moment_sums(umap, x, P, windows, lo=0):
                 fk = moments.get(k)
                 if fk is None:
                     fk = moments[k] = umap.moment(x, k)
-                if va + fk.val_lower_bound() >= w:
+                vf = fk.val_lower_bound()
+                if va + vf >= w:
                     continue
-            sums[h - lo].append((a if b == 1 else a.scale(b), fk))
-    return [product_sum(ctx, s, w) for s, w in zip(sums, windows)]
+                pk = min(a.prec + vf, fk.prec + va)
+                fs, v = fk.codes, a.v + fk.v
+            else:
+                pk, fs, v = a.prec, b"\1", a.v
+            if pk < precs[i]:
+                precs[i] = pk
+            if a.codes and fs:
+                kept.append((i, a.codes if b == 1 else ctx.scale(b, a.codes),
+                             v, fs))
+    if not kept:
+        return [LaurentF(ctx, 0, b"", pk) for pk in precs]
+    v0 = min(v for _, _, v, _ in kept)
+    width = max(v + len(xs) + len(fs) - 1 for _, xs, v, fs in kept) - v0
+    acc = ctx.convolve_sum([(xs, fs, i * width + v - v0)
+                            for i, xs, v, fs in kept])
+    return [LaurentF(ctx, v0, acc[i * width:(i + 1) * width], pk)
+            for i, pk in enumerate(precs)]
 
 
 def apply_flow(umap: UmbralMap, x: LaurentF, P: TruncSeries,
                require_admissible: bool = True) -> TruncSeries:
-    """Apply the flow operator of ``umap`` at x to P, on P's window.
-
-    Over characteristic 2 the window is one packed sum (``_flow_packed``),
-    one ``FieldCtx.convolve_sum`` of its rows; over odd p a packed sum
-    would add code vectors with a table loop, and the window takes
-    ``flow_coefficient`` per coefficient instead.  Both give every
-    coefficient the same (v, codes, prec) and ask ``umap`` for the same
-    moments.
-    """
+    """Apply the flow operator of ``umap`` at x to P, on P's window: every
+    coefficient from one walk over the terms of P, summed in one
+    accumulated convolution (``_moment_sums``), over every field."""
     if require_admissible:
         verdict = admissible_heuristic(umap, x)
         if not verdict.apparently_admissible:
             raise PreconditionFailedError(
                 f"x not apparently admissible for {umap.name}: {verdict}")
-    if P.ctx.p == 2:
-        return _flow_packed(umap, x, P)
-    return TruncSeries(P.ctx, [flow_coefficient(umap, x, P, h)
-                               for h in range(P.trunc)])
-
-
-def _flow_packed(umap, x, P):
-    # (flow P) = sum_j a_j row_j, row_j = sum_h F_(j-h)(x) X^h over the h
-    # with C(j, h) odd, the only non-zero binomials in characteristic 2.
-    # Block h of row_j holds the codes of F_(j-h) at offset
-    # h*W + (v_F - v_Fmin), with W the digit span of the coded a_j plus
-    # that of the moments they meet, less one, so that one convolution by
-    # a_j's codes keeps every block apart.  The loop truncates each sum at
-    # the least precision of its terms, so block h is cut at prec_h, the
-    # min over pairs (j, h) of min(prec_a + vlb_F, prec_F + vlb_a); F_0 = 1
-    # is exact.
-    ctx, n = P.ctx, P.trunc
-    moments = {0: LaurentF.one(ctx)}
-    precs = [INF] * n
-    coded = []
-    # the digit span of the moments that coded a_j meet, F_0 = 1 among them
-    f_lo, f_hi = 0, 1
-    for j, a in P.terms:
-        pa, va = a.prec, a.val_lower_bound()
-        if a.codes:
-            coded.append((j, a))
-        for h, _ in _binomial_row(j, 0, n, 2):
-            f = moments.get(j - h)
-            if f is None:
-                f = moments[j - h] = umap.moment(x, j - h)
-            ph = min(pa + f.val_lower_bound(), f.prec + va)
-            if ph < precs[h]:
-                precs[h] = ph
-            if a.codes and f.codes:
-                f_lo = min(f_lo, f.v)
-                f_hi = max(f_hi, f.v + len(f.codes))
-    if not coded:
-        return TruncSeries(ctx, [LaurentF(ctx, 0, b"", ph) for ph in precs])
-    a_lo = min(a.v for _, a in coded)
-    a_hi = max(a.v + len(a.codes) for _, a in coded)
-    width = a_hi - a_lo + f_hi - f_lo - 1
-    triples = []
-    for j, a in coded:
-        row = bytearray(j * width + f_hi - f_lo)
-        for h, _ in _binomial_row(j, 0, n, 2):
-            f = moments[j - h]
-            if f.codes:
-                at = h * width + f.v - f_lo
-                row[at:at + len(f.codes)] = f.codes
-        triples.append((bytes(row), a.codes, a.v - a_lo))
-    acc = ctx.convolve_sum(triples)
-    v = a_lo + f_lo
-    return TruncSeries(ctx, [
-        LaurentF(ctx, v, acc[h * width:(h + 1) * width], precs[h])
-        for h in range(n)])
+    return TruncSeries(P.ctx, _moment_sums(umap, x, P, (INF,) * P.trunc))

@@ -101,7 +101,7 @@ def test_ek_past_a_polynomials_degree_enumerates_nothing(cc_name, request,
                                                        monkeypatch):
     # at a polynomial x of degree < k, e_k(x) is the exact zero that the
     # product over deg(eps) < k gives, since it meets eps = -x, and no
-    # polynomial is enumerated for it; a k past the cap still raises
+    # polynomial is enumerated for it; a product past the cap still raises
     cc = request.getfixturevalue(cc_name)
     ctx = cc.field
     points = [LaurentF.zero(ctx), LaurentF.one(ctx),
@@ -128,8 +128,9 @@ def test_ek_past_a_polynomials_degree_enumerates_nothing(cc_name, request,
     assert not cc.ek(2, points[2]).is_zero_at_prec()  # k = deg x: a product
     assert calls
     capped = CarlitzCtx(ctx, cap=ctx.q ** 3)
+    cubic = LaurentF.from_poly(PolyA.from_coeffs(ctx, [1, 0, 0, 1]))
     with pytest.raises(EnumerationCapExceededError):
-        capped.ek(3, points[2])  # q^4 > cap
+        capped.ek(3, cubic)  # k = deg x: a product, and q^4 > cap
 
 
 @pytest.mark.parametrize("cc_name", ["cc2", "cc3"])
@@ -337,8 +338,8 @@ def test_dk_inv_below_valuation_matches_built_inverse(cc_name, kmax,
 
 
 def test_dk_inv_below_valuation_builds_nothing(F2, monkeypatch):
-    # a zero 1/D_k needs no D_k; a k past the enumeration cap still raises,
-    # as building its D_k would
+    # a zero 1/D_k needs no D_k; a non-zero 1/D_k past the enumeration cap
+    # still raises, as building its D_k would
     cc = CarlitzCtx(F2, cap=64)
 
     def unbuilt(k):
@@ -348,6 +349,34 @@ def test_dk_inv_below_valuation_builds_nothing(F2, monkeypatch):
     assert cc.dk_inv(5, 100) == LaurentF.zero_at(F2, 100)  # 5 * 2^5 = 160
     monkeypatch.undo()
     with pytest.raises(EnumerationCapExceededError):
-        cc.dk_inv(6, 100)  # 2^7 = 128 > 64
+        cc.dk_inv(6, 400)  # 6 * 2^6 = 384 < 400, and 2^7 = 128 > 64
     with pytest.raises(EnumerationCapExceededError):
         cc.dk(40)
+
+
+@pytest.mark.parametrize("cc_name", ["cc2", "cc3", "cc4"])
+def test_decided_zeros_past_the_cap_build_nothing(cc_name, request,
+                                                  monkeypatch):
+    # 1/D_k below its valuation k q^k, and e_k at a polynomial of degree < k,
+    # are zeros whatever the cap: neither D_k nor any polynomial of degree
+    # < k is built, even with q^(k+1) past the cap
+    ctx = request.getfixturevalue(cc_name).field
+    cc = CarlitzCtx(ctx, cap=ctx.q)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return enumerate_polys(*args, **kwargs)
+
+    def unbuilt(k):
+        raise AssertionError(f"D_{k} built")
+
+    monkeypatch.setattr(carlitz, "enumerate_polys", spy)
+    monkeypatch.setattr(cc, "dk", unbuilt)
+    x = LaurentF.from_poly(PolyA.from_coeffs(ctx, [1, 1]))
+    for k in range(2, 5):
+        assert ctx.q ** (k + 1) > cc.cap
+        prec = k * ctx.q ** k
+        assert cc.dk_inv(k, prec) == LaurentF.zero_at(ctx, prec)
+        assert cc.ek(k, x) == LaurentF.zero(ctx)
+    assert calls == []

@@ -236,6 +236,18 @@ def test_cli_verify_flow_report_bytes_beyond_f2(capsys, monkeypatch, tag,
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("modulus", [("1", "1", "0", "0", "1"),
+                                     ("1", "0", "1", "0", "0", "1")],
+                         ids=["F16", "F32"])
+def test_cli_naive_flow_past_the_cap(monkeypatch, modulus):
+    # the Carlitz exponential at a unit-ball point meets 1/D_3, whose
+    # q^(k+1) = q^4 is past the default cap over F_16 and F_32; below its
+    # valuation 3 q^3 that term is a decided zero, so no D_3 is built
+    monkeypatch.delenv("UMBRAL_FLOW_CAP", raising=False)
+    assert main(["--d", str(len(modulus) - 1), "--modulus", *modulus,
+                 "--trials", "2", "verify", "naive-flow"]) == 0
+
+
 def test_cli_dual_binomial_f8_ends(tmp_path):
     # the dual-binomial generator counts q-powers: over F_8 it once counted
     # p-powers, and Frobenius powers spread the codes p^(d*i) apart until the

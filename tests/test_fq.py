@@ -352,15 +352,19 @@ def _convolve_sum_loop(ctx, triples):
 
 
 def _sum_case(rng, ctx, wide):
-    """Up to five (xs, ys, k) triples at mixed shifts, empty operands among
-    them; with ``wide``, one product of two operands with 300 non-zero
+    """Up to five (xs, ys, k) triples at mixed shifts, empty operands and
+    shared xs among them; with ``wide``, one product of two operands with 300 non-zero
     codes, past one-byte slots for p = 2."""
     def vec():
         n = rng.choice([0, 1, 2, 5, 17, 40])
         return bytes(rng.randrange(ctx.q) for _ in range(n))
 
-    triples = [(vec(), vec(), rng.randrange(0, 60))
-               for _ in range(rng.randrange(0, 5))]
+    triples = []
+    for _ in range(rng.randrange(0, 5)):
+        # a later triple may share an earlier one's xs
+        xs = rng.choice(triples)[0] if triples and rng.random() < 0.3 \
+            else vec()
+        triples.append((xs, vec(), rng.randrange(0, 60)))
     if wide:
         xs, ys = (bytes(rng.randrange(1, ctx.q) for _ in range(300))
                   for _ in range(2))
@@ -391,6 +395,30 @@ def test_convolve_sum_matches_loop(name, wide, monkeypatch):
         assert type(got) is bytes
         assert got == _convolve_sum_loop(ctx, triples)
         assert widths == ([2 if wide else 1] if triples else [])
+
+
+@pytest.mark.parametrize("name", ["F2", "F4", "F8"])
+def test_convolve_sum_shared_xs_slot_width(name, monkeypatch):
+    # for d > 1 the triples that share xs make one product, xs by the sum
+    # of their ys: eight ys of 40 non-zero codes, 40 places apart, sum to
+    # 320 non-zero codes, so with an xs of 300 non-zero codes that product
+    # needs 2-byte slots, where each triple's product alone fits one byte.
+    # F_2 multiplies each triple alone
+    ctx = field(*_PLANE_FIELDS[name])
+    rng = random.Random(name)
+    widths = []
+    planes = FieldCtx._convolve_planes
+
+    def spy(self, triples, nb, n):
+        widths.append(nb)
+        return planes(self, triples, nb, n)
+
+    monkeypatch.setattr(FieldCtx, "_convolve_planes", spy)
+    xs = bytes(rng.randrange(1, ctx.q) for _ in range(300))
+    triples = [(xs, bytes(rng.randrange(1, ctx.q) for _ in range(40)),
+                5 + 40 * i) for i in range(8)]
+    assert ctx.convolve_sum(triples) == _convolve_sum_loop(ctx, triples)
+    assert widths == [1 if ctx.d == 1 else 2]
 
 
 @pytest.mark.parametrize("args", [(3, 1, None), (2, 5, (1, 0, 1, 0, 0, 1))])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbral_flow import umbral
 from umbral_flow.carlitz import CarlitzCtx
 from umbral_flow.duality import AdditiveIso, DualMap, PerturbedMap
 from umbral_flow.errors import PreconditionFailedError
@@ -360,9 +359,10 @@ def test_umbral_eval_power_collapses_for_geometric(cc2):
         assert agreement_valuation(lhs, rhs) >= N
 
 
-# -- the packed flow sum against the per-coefficient loop ----------------------
-# apply_flow packs over every field of characteristic 2, F_32 among them,
-# whose convolution takes the table path (2^9 > 256); odd p takes the loop.
+# -- the flow sum against its definition ---------------------------------------
+# apply_flow takes one walk and one accumulated convolution over every field:
+# F_2, F_4 and F_8 pack bit planes, F_3 packs digits, and F_32 takes the table
+# loop (2^9 > 256).
 _FLOW_FIELDS = {
     "F2": (2, 1, None),
     "F3": (3, 1, None),
@@ -370,8 +370,6 @@ _FLOW_FIELDS = {
     "F8": (2, 3, (1, 1, 0, 1)),
     "F32": (2, 5, (1, 0, 1, 0, 0, 1)),
 }
-_PACKED_FLOW_FIELDS = sorted(n for n, (p, _, _) in _FLOW_FIELDS.items()
-                             if p == 2)
 
 
 @lru_cache(maxsize=None)
@@ -380,8 +378,22 @@ def _carlitz(name):
 
 
 def _loop_flow(umap, x, P):
-    return TruncSeries(P.ctx, [flow_coefficient(umap, x, P, h)
-                               for h in range(P.trunc)])
+    """The flow by its definition, the reference for apply_flow: eps_h is
+    acc = acc + C(j, h) a_j F_(j-h)(x) over j >= h from the exact zero, one
+    Laurent product and one sum a term; apply_flow's window is INF, so
+    nothing is truncated.  F_0 = 1 for every map, and an exact-zero a_j
+    adds nothing, so neither asks for a moment."""
+    ctx, one = P.ctx, LaurentF.one(P.ctx)
+    out = []
+    for h in range(P.trunc):
+        acc = LaurentF.zero(ctx)
+        for j in range(h, P.trunc):
+            a, b = P.coeffs[j], binom_mod_p(j, h, ctx.p)
+            if b and not a.is_exact_zero():
+                f = one if j == h else umap.moment(x, j - h)
+                acc = acc + a.scale(b) * f
+        out.append(acc)
+    return TruncSeries(ctx, out)
 
 
 def _states(P):
@@ -406,7 +418,7 @@ def _coefficient(draw, ctx, width=12):
 
 @st.composite
 def _flow_case(draw):
-    cctx = _carlitz(draw(st.sampled_from(_PACKED_FLOW_FIELDS)))
+    cctx = _carlitz(draw(st.sampled_from(sorted(_FLOW_FIELDS))))
     ctx = cctx.field
     n = draw(st.sampled_from([0, 1, 5, 16, 17]))
     P = TruncSeries(ctx, [draw(_coefficient(ctx)) for _ in range(n)])
@@ -442,26 +454,8 @@ def test_packed_flow_matches_loop(case):
     assert _states(got) == _states(_loop_flow(umap, x, P))
 
 
-def _spy_flow(monkeypatch, calls):
-    """Record the path of each flow sum in calls: "packed" for a packed
-    sum, the h of each flow_coefficient call."""
-    packed, loop = umbral._flow_packed, umbral.flow_coefficient
-
-    def spy_packed(*args):
-        calls.append("packed")
-        return packed(*args)
-
-    def spy_loop(*args, **kwargs):
-        calls.append(args[3])
-        return loop(*args, **kwargs)
-    monkeypatch.setattr(umbral, "_flow_packed", spy_packed)
-    monkeypatch.setattr(umbral, "flow_coefficient", spy_loop)
-
-
-def test_flow_dispatch(monkeypatch):
-    # characteristic 2 takes one packed sum, F_32 included although its
-    # convolution does not pack, and asks for the same distinct moments as
-    # the loop; odd p takes flow_coefficient once per coefficient
+def test_flow_asks_the_reference_moments():
+    # every field asks for the same distinct moments as the definition
     rng = random.Random(21)
     asked = []
 
@@ -474,22 +468,16 @@ def test_flow_dispatch(monkeypatch):
         umap.moment = spy
         return umap
 
-    cases = []
-    for name in ("F2", "F3", "F32"):
+    for name in sorted(_FLOW_FIELDS):
         cctx = _carlitz(name)
         for P in (_rand_series(cctx.field, rng, trunc=16),
                   TruncSeries.monomial(cctx.field, 5, 16)):
             x = _unit_x(cctx.field, rng)
             del asked[:]
             want = _loop_flow(spy_map(AdditiveMap(cctx, N)), x, P)
-            cases.append((cctx, x, P, want, set(asked)))
-    calls = []
-    _spy_flow(monkeypatch, calls)
-    for cctx, x, P, want, ks in cases:
-        del asked[:], calls[:]
-        got = apply_flow(spy_map(AdditiveMap(cctx, N)), x, P,
-                         require_admissible=False)
-        assert got == want
-        assert set(asked) == ks
-        assert calls == (["packed"] if cctx.field.p == 2
-                         else list(range(16)))
+            ks = set(asked)
+            del asked[:]
+            got = apply_flow(spy_map(AdditiveMap(cctx, N)), x, P,
+                             require_admissible=False)
+            assert _states(got) == _states(want)
+            assert set(asked) == ks
