@@ -147,6 +147,9 @@ def _horner(poly: PolyA):
 
 
 def make_map(spec: str, cctx: CarlitzCtx, cfg: Config, h_file=None):
+    """The map a spec names.  A dual's generator file is ``h_file``, and
+    then everything after ``dual:`` is the inner spec; without it the file
+    is the text after the last ':'."""
     kind, _, rest = spec.partition(":")
     if kind == "additive":
         return AdditiveMap(cctx, cfg.prec)
@@ -166,9 +169,11 @@ def make_map(spec: str, cctx: CarlitzCtx, cfg: Config, h_file=None):
             raise ParseError(f"unknown scalar function {fn_kind!r}")
         return GeometricMap(cctx, cfg.prec, fn, fn_kind)
     if kind == "dual":
-        inner_spec, _, path = rest.partition(":")
-        path = path or h_file
-        if not path:
+        if h_file:
+            inner_spec, path = rest, h_file
+        else:
+            inner_spec, _, path = rest.rpartition(":")
+        if not (inner_spec and path):
             raise ParseError(
                 "dual map needs dual:<inner>:<H-file.json> or --H <file>")
         inner = make_map(inner_spec, cctx, cfg)
@@ -259,7 +264,7 @@ def build_parser():
     fap = flowsub.add_parser("apply")
     fap.add_argument("--map", required=True,
                      help="additive|naive|twisted|geometric:<fn>|"
-                          "dual:<inner>:<H-file>")
+                          "dual:<inner>:<H-file>|dual:<inner> with --H")
     fap.add_argument("--x", required=True)
     fap.add_argument("--series", help="TruncSeries JSON file (default: T)")
     fap.add_argument("--H", dest="H", default=None,

@@ -3,51 +3,43 @@ machine checks for the duality diagram, binomial preservation, and the
 geometric criterion.
 
 The isomorphism phi sends P to P(H(T)) for a generator H: an additive series
-with unit-norm linear coefficient.  A *truncated* generator is itself a
-perfectly good exact generator (a finite additive polynomial), and every
-check here treats it that way: with H an exact polynomial and the basis
-series T^j exact, both sides of the duality square are finite computations,
-so the only approximation anywhere is the working precision of dual moments.
-Checks therefore compare at full Laurent precision rather than inheriting
-noise from the T-truncation; the reported window stays at the configured
-truncation M.
+with unit-norm linear coefficient.  Every check treats a truncated generator
+as the exact additive polynomial it is, so with the basis series T^j exact
+both sides of the duality square are finite computations, compared at full
+Laurent precision; the only approximation is the working precision of dual
+moments, and the reported window stays at the configured truncation M.
 
 Dual moments follow the composition-inverse formula: the k-th moment of the
 dual of F under phi is dual_k(x) = eval((H^(-1))(F(x))^k) = sum_(n >= k)
 c_(k,n) F_n(x), with c_(k,n) the coefficients of (H^(-1))^k, computed as a
-finite sum out to a length L.  The inner map's tail bound
-(``UmbralMap.moment_bound``) makes that sum sound:
+finite sum out to a length L.  The cap, the bound, the rule and the floor
+read one fact, that H is exact and integral.  Then every c_(k,n) has
+vlb >= 0, computed or not: the inverse's recursion multiplies and adds such
+values and divides only by the unit h_0.  With the inner map's tail bound
+(``UmbralMap.moment_bound``):
 
 * the length: L is ``eval_len``, or the inner support when that is finite
   and longer, so a sum never drops a non-zero term of a twisted map at a
   polynomial point;
 * the cap: a dual moment's precision is at most min(``eval_len``,
-  moment_bound(x, L)).  H^(-1) is integral exactly when H is (the
-  inverse's recursion divides only by the unit h_0), and then every
-  dropped term c_(k,n) F_n(x), n >= L, lies at or past moment_bound(x, L).
-  For k >= L the whole sum is such a tail, so dual_k(x) is zero at the cap;
-* the rule: under an integral exact H, a map whose moments have a tail
-  bound has an admissible dual, since vlb(dual_k(x)) >= moment_bound(x, k)
-  grows without limit.  ``DualMap.admissibility_rule`` says so exactly, and
-  the window scan runs only for duals of maps with no bound, where the cap
-  at ``eval_len`` stays heuristic.
+  moment_bound(x, L)), since every dropped term c_(k,n) F_n(x), n >= L,
+  lies at or past moment_bound(x, L).  For k >= L the whole sum is such a
+  tail, so dual_k(x) is zero at the cap;
+* the bound and the rule: vlb(dual_m(x)) >= moment_bound(x, n) for every
+  m >= n, so ``DualMap.moment_bound`` is the inner bound, and a dual of a
+  map with a bound is admissible by an exact rule.  A dual of a dual so
+  has a rule and a proven cap too.  Without an integral exact H, or where
+  the inner map states no bound (the cap is then ``eval_len`` alone, and
+  proves nothing), a dual has no rule and is refused;
+* the floor, ``DualMap.moment_floor``, bounds the moments the map
+  *computes*, which is what a windowed sum may trust: the cap past L, and
+  below it min(cap, the inner floor at n), since each computed term
+  c_(k,m) F_m(x) with m >= k >= n keeps vlb at or past that floor.  A
+  bumped inner map proves no floor, and then its dual has none either.
 
 The bound comes from the moment definitions alone, never from the duality
-or binomial theorems that the checks test.
-
-A dual map's floor (``DualMap.moment_floor``) bounds the moments it
-*computes*, which is what a windowed sum may trust: past the sum's length
-it is the cap, and below it min(cap, the inner map's floor at n), but only
-while every coefficient of the computed H^(-1) at length L has vlb >= 0,
-checked once per length on the computed series, not on H.  Then each
-computed c_(k,m), a product and sum of such coefficients, keeps vlb >= 0,
-each computed term c_(k,m) F_m(x) with m >= k >= n keeps vlb at or past
-the inner floor at n, and the sum, truncated at the cap, keeps the least
-of those and the cap.  Where the inner map proves no floor (a bumped map)
-or H^(-1) is not integral, the floor is None.  ``moment_bound`` itself is
-not capped: the cap and the admissibility rule of a dual of a dual read
-it.  Two rules use the floor, and each only drops work whose result is
-already decided:
+or binomial theorems that the checks test.  Two rules use the floor, and
+each only drops work whose result is already decided:
 
 * zero past the cap: once the floor at k reaches the cap, every term of
   the sum has its bound at or past its window, the cap, so the windowed
@@ -75,7 +67,6 @@ from __future__ import annotations
 from .errors import (
     EnumerationCapExceededError,
     NotAGeneratorError,
-    PreconditionFailedError,
     TruncationMismatchError,
 )
 from .laurent import INF, LaurentF, agreement_valuation, product_sum
@@ -91,7 +82,7 @@ from .umbral import (
     AdmissibilityVerdict,
     UmbralMap,
     admissible_heuristic,
-    apply_flow,
+    ensure_admissible,
     flow_coefficients,
     umbral_eval,
 )
@@ -204,13 +195,13 @@ class DualMap(UmbralMap):
         super().__init__(inner.cctx, prec)
         self.inner = inner
         self.iso = iso
+        # headroom: at prec + 0 only geometric's witnesses move (F_2 to F_4)
         self.eval_len = (prec + 16) if eval_len is None else eval_len
         self.name = f"dual({inner.name})"
         # H^(-1) is integral iff the exact generator H is (h_0 is a unit)
         self._integral = iso.H.exact and all(
             c.val_lower_bound() >= 0 for c in iso.H.pcoeffs)
         self._sums = {}     # x -> (sum length, precision cap)
-        self._integral_at = {}  # sum length -> computed H^(-1) integral
         self._moments = {}
 
     def _sum_at(self, x):
@@ -226,18 +217,17 @@ class DualMap(UmbralMap):
             got = self._sums[x] = (length, cap)
         return got
 
+    def moment_bound(self, x, n):
+        # see the module docstring: the inner bound, under an integral exact H
+        return self.inner.moment_bound(x, n) if self._integral else None
+
     def moment_floor(self, x, n):
         # see the module docstring: the cap past the sum's length, and
-        # min(cap, inner floor) while the computed H^(-1) is integral
+        # min(cap, inner floor) under an integral exact H
         length, cap = self._sum_at(x)
         if n >= length:
             return cap
-        integral = self._integral_at.get(length)
-        if integral is None:
-            integral = self._integral_at[length] = all(
-                c.val_lower_bound() >= 0
-                for c in self.iso.inverse_ts(length).coeffs)
-        inner = self.inner.moment_floor(x, n) if integral else None
+        inner = self.inner.moment_floor(x, n) if self._integral else None
         return None if inner is None else min(cap, inner)
 
     def moment(self, x, k):
@@ -259,8 +249,7 @@ class DualMap(UmbralMap):
 
     def admissibility_rule(self, x):
         # exact: see the module docstring
-        if not self._integral or \
-                self.inner.moment_bound(x, self._sum_at(x)[0]) is None:
+        if self.moment_bound(x, self._sum_at(x)[0]) is None:
             return None
         return AdmissibilityVerdict(
             True, "integral inverse generator, inner moments tail-bounded")
@@ -355,9 +344,7 @@ def check_duality_diagram(inner: UmbralMap, iso: AdditiveIso, x: LaurentF,
         "trunc": trunc, "prec": prec, "exact_generator": iso.H.exact,
     })
     for m in (inner, dual):
-        if not admissible_heuristic(m, x).apparently_admissible:
-            raise PreconditionFailedError(
-                f"x not apparently admissible for {m.name}")
+        ensure_admissible(m, x)
     # one truncation for every basis index: products are prefix-stable, and
     # past deg(H^j) the coefficients of H^j are exact zeros, which the dual
     # flow's coefficient sums skip
@@ -370,8 +357,8 @@ def check_duality_diagram(inner: UmbralMap, iso: AdditiveIso, x: LaurentF,
                 "truncated generator does not cover the window")
     for j in range(basis):
         P = TruncSeries.monomial(inner.ctx, j, trunc)
-        flowed = apply_flow(inner, x, P, require_admissible=False)
-        lhs = iso.apply(flowed)
+        lhs = iso.apply(TruncSeries(inner.ctx, flow_coefficients(
+            inner, x, P, (INF,) * trunc)))
         # one walk over the terms of H^j gives every coefficient h < trunc;
         # the difference is known only below lhs_h.prec, so rhs terms
         # bounded at or past it cannot move the agreement
@@ -449,9 +436,7 @@ def check_binomial(umap: UmbralMap, x: LaurentF, y: LaurentF, n_max: int,
         raise EnumerationCapExceededError(
             f"{pairs} binomial terms exceed cap {umap.cctx.cap}")
     for pt in (x, y, x + y):
-        if not admissible_heuristic(umap, pt).apparently_admissible:
-            raise PreconditionFailedError(
-                f"binomial check point not apparently admissible for {umap.name}")
+        ensure_admissible(umap, pt)
     rep = DualityReport("binomial", {"map": umap.name, "n_max": n_max,
                                      "prec": prec})
     p = umap.ctx.p

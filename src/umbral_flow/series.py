@@ -34,6 +34,7 @@ from functools import lru_cache
 from .errors import (
     CompositionConstantTermError,
     NotAGeneratorError,
+    ParseError,
     TruncationMismatchError,
 )
 from .laurent import (
@@ -313,8 +314,13 @@ class TruncSeries:
 
     @classmethod
     def from_json(cls, ctx, obj):
+        """The series of the declared trunc: coefficients past the list are
+        exact zeros, and a negative trunc is a ParseError."""
         coeffs, trunc = json_fields(obj, "series", coeffs=list, trunc=int)
-        return cls(ctx, [LaurentF.from_json(ctx, c) for c in coeffs][:trunc])
+        if trunc < 0:
+            raise ParseError(f"bad series literal: trunc {trunc} is negative")
+        return cls.from_coeffs(ctx, [LaurentF.from_json(ctx, c)
+                                     for c in coeffs], trunc)
 
 
 def hasse_derivative(P: TruncSeries, k: int) -> TruncSeries:
@@ -521,7 +527,9 @@ class AdditiveSeries:
                    exact=obj.get("exact", True))
 
 
-_EXACT_INV_PREC = 4 * 64  # fallback precision when inverting exact unit coeffs
+# fallback precision when inverting an exact unit h_0 of several digits; no
+# claim reaches it (a claim's h_0 is a monomial or has finite precision)
+_EXACT_INV_PREC = 4 * 64
 
 
 def series_agreement_valuation(P: TruncSeries, Q: TruncSeries):

@@ -26,11 +26,11 @@ basis index from that one walk.  A finite window skips every term whose
 valuation bound reaches it, and asks the map's floor first, so that a term
 the floor already places past the window never computes its moment.
 
-Admissibility (F_k(x) -> 0) is only semi-decidable at finite precision, so
-the heuristic verdict is labeled "apparently"; the maps with an exact rule
-(powers of a first moment: |F_1(x)| < 1; twisted: everywhere; the dual of
-a map with a tail bound under an integral inverse generator, see
-``duality``) bypass the window scan.
+Admissibility (F_k(x) -> 0) is decided by exact rules alone: powers of a
+first moment are admissible exactly where |F_1(x)| < 1, the twisted map
+everywhere, and the dual of a map with a tail bound under an integral
+exact generator wherever that bound holds (see ``duality``).  A map with
+no rule at x is refused, not guessed at.
 
 A map may also state a tail bound, ``moment_bound(x, n)``: a lower bound on
 vlb(F_m(x)) for every m >= n that grows without limit in n, read off the
@@ -78,7 +78,7 @@ class UmbralMap:
         raise NotImplementedError
 
     def admissibility_rule(self, x: LaurentF):
-        """Exact admissibility verdict, or None when only the scan applies."""
+        """Exact admissibility verdict, or None where no rule is known."""
         return None
 
     def support(self, x: LaurentF):
@@ -179,6 +179,7 @@ class TwistedMap(UmbralMap):
         super().__init__(cctx, prec)
         self._basis = {}    # x -> list of e_k(x)/D_k
         self._moments = {}  # x -> {n: T_n(x)}
+        # headroom for negative-valuation factors: at 0 only example58 moves
         self._inv_prec = prec + inv_prec_pad
 
     def basis_value(self, x: LaurentF, k: int) -> LaurentF:
@@ -227,24 +228,21 @@ class TwistedMap(UmbralMap):
 
 def admissible_heuristic(umap: UmbralMap,
                          x: LaurentF) -> AdmissibilityVerdict:
-    """Exact rule when the map has one, else a windowed decay scan: x is
-    apparently admissible once 3 consecutive moments reach ``umap.prec``.
-    Moments decaying at unit rate need k about prec before they clear that
-    bar, so the scan depth follows the precision."""
-    exact = umap.admissibility_rule(x)
-    if exact is not None:
-        return exact
-    quiet = 0
-    last_bad = None
-    for k in range(1, max(32, umap.prec + 8) + 1):
-        if umap.moment(x, k).val_lower_bound() >= umap.prec:
-            quiet += 1
-            if quiet >= 3:
-                return AdmissibilityVerdict(True, "windowed decay scan")
-        else:
-            quiet = 0
-            last_bad = k
-    return AdmissibilityVerdict(False, "windowed decay scan", last_bad)
+    """The map's exact admissibility verdict at x; a map with no rule there
+    is refused."""
+    verdict = umap.admissibility_rule(x)
+    if verdict is None:
+        raise PreconditionFailedError(
+            f"no admissibility rule for {umap.name} at this x")
+    return verdict
+
+
+def ensure_admissible(umap: UmbralMap, x: LaurentF):
+    """Refuse x unless the map's rule admits it."""
+    verdict = admissible_heuristic(umap, x)
+    if not verdict.apparently_admissible:
+        raise PreconditionFailedError(
+            f"x not apparently admissible for {umap.name}: {verdict}")
 
 
 def flow_coefficient(umap: UmbralMap, x: LaurentF, P: TruncSeries,
@@ -349,14 +347,9 @@ def _moment_sums(umap, x, P, windows, lo=0):
             for i, pk in enumerate(precs)]
 
 
-def apply_flow(umap: UmbralMap, x: LaurentF, P: TruncSeries,
-               require_admissible: bool = True) -> TruncSeries:
-    """Apply the flow operator of ``umap`` at x to P, on P's window: every
-    coefficient from one walk over the terms of P, summed in one
-    accumulated convolution (``_moment_sums``), over every field."""
-    if require_admissible:
-        verdict = admissible_heuristic(umap, x)
-        if not verdict.apparently_admissible:
-            raise PreconditionFailedError(
-                f"x not apparently admissible for {umap.name}: {verdict}")
+def apply_flow(umap: UmbralMap, x: LaurentF, P: TruncSeries) -> TruncSeries:
+    """Apply the flow operator of ``umap`` at an admissible x to P, on P's
+    window: every coefficient from one walk over the terms of P, summed in
+    one accumulated convolution (``_moment_sums``), over every field."""
+    ensure_admissible(umap, x)
     return TruncSeries(P.ctx, _moment_sums(umap, x, P, (INF,) * P.trunc))

@@ -118,6 +118,7 @@ def ec_generator(cctx: CarlitzCtx, length: int, prec: int) -> AdditiveSeries:
     ctx = cctx.field
     pc = [LaurentF.one(ctx)]
     for i in range(1, length):
+        # relative precision prec + i q^i; at prec no F_2-F_4 report moves
         pc.append(cctx.dk_inv(i, prec + 2 * i * ctx.q ** i))
     return AdditiveSeries(ctx, _at_q_powers(ctx, pc), exact=True)
 
@@ -190,7 +191,7 @@ def claim_boundedness(cfg: Config) -> DualityReport:
     sup-valuation of P plus the worst moment valuation."""
     cctx = cfg.carlitz_ctx()
     rng = _rng(cfg, "boundedness")
-    pad = 64
+    pad = 64  # at 0 no report over F_2, F_3 or F_4 moves
     smp = Sampler(cctx.field, rng, cfg.prec + pad)
     maps = [AdditiveMap(cctx, cfg.prec), NaiveMap(cctx, cfg.prec),
             TwistedMap(cctx, cfg.prec)]
@@ -228,7 +229,7 @@ def claim_power_rule(cfg: Config) -> DualityReport:
     cctx = cfg.carlitz_ctx()
     ctx = cctx.field
     rng = _rng(cfg, "power-rule")
-    smp = Sampler(ctx, rng, cfg.prec + 32)
+    smp = Sampler(ctx, rng, cfg.prec + 32)  # at + 0 agreement falls to 64
     n_trials = max(cfg.trials // 4, 1)
     rep = DualityReport("power-rule", {"prec": cfg.prec, "trunc": cfg.trunc,
                                        "trials": n_trials})
@@ -273,6 +274,7 @@ def _binomial_claim(cfg, claim, max_deg, dual) -> DualityReport:
     # both claims draw from one derived seed, so they share their samples
     # wherever both draw degree 4
     smp = Sampler(cctx.field, _rng(cfg, "binomial-twisted"), target)
+    # pads: at 0, each of the three fails a claim over F_2 (116, 114, 116)
     umap = TwistedMap(cctx, target, inv_prec_pad=128)
     if dual:
         umap = DualMap(umap, ex58_iso(cctx, max_deg + 1, target + 128),
@@ -298,6 +300,7 @@ def claim_flow_composition(cfg: Config) -> DualityReport:
     """Twisted flows compose additively: flow(x+y) = flow(x) o flow(y)."""
     cctx = cfg.carlitz_ctx()
     rng = _rng(cfg, "flow-composition")
+    # pads: at 0, either one makes the claim fail over F_2 (60)
     smp = Sampler(cctx.field, rng, cfg.prec + 64)
     T = TwistedMap(cctx, cfg.prec, inv_prec_pad=64)
     n_trials = max(cfg.trials // 4, 1)
@@ -325,6 +328,7 @@ def claim_duality(cfg: Config) -> DualityReport:
     smp = Sampler(cctx.field, rng, cfg.prec)
     # the generators count q-powers, interleaved to p-powers for d > 1
     glen = plen(cfg.q, cfg.trunc)
+    # pads: at 0, isoA's moves no report; iso58's and T's fail (61, 56)
     isoA = ec_iso(cctx, glen, cfg.prec + 32)
     iso58 = ex58_iso(cctx, glen, cfg.prec + 32)
     S = AdditiveMap(cctx, cfg.prec)
@@ -381,6 +385,7 @@ def claim_geometric(cfg: Config) -> DualityReport:
     rng = _rng(cfg, "geometric")
     smp = Sampler(cctx.field, rng, cfg.prec)
     glen = plen(cfg.p, cfg.trunc)
+    # pads: at 0 only the recorded flow witnesses move
     isoA = ec_iso(cctx, glen, cfg.prec + 32)
     iso58 = ex58_iso(cctx, glen, cfg.prec + 32)
     S = AdditiveMap(cctx, cfg.prec)
@@ -425,6 +430,7 @@ def claim_example57(cfg: Config) -> DualityReport:
     # the dual's moments track e_C(x)^k only up to the generator's p-range,
     # so the range must clear the target precision, not just the truncation
     glen = max(plen(cfg.p, cfg.trunc), plen(cfg.q, cfg.prec) + 1)
+    # the pad: at 0 no report over F_2, F_3 or F_4 moves
     iso_rev = AdditiveIso(ec_generator(cctx, glen, cfg.prec + 32)).inverse_iso()
     S = AdditiveMap(cctx, cfg.prec)
     NM = NaiveMap(cctx, cfg.prec)
@@ -438,7 +444,7 @@ def claim_example57(cfg: Config) -> DualityReport:
             agreement = agreement_valuation(dual.moment(x, k), NM.moment(x, k))
             rep.record(agreement, cfg.prec, {"trial": i, "k": k})
         P = smp.bounded_series(cfg.trunc)
-        lhs = apply_flow(dual, x, P, require_admissible=False)
+        lhs = apply_flow(dual, x, P)
         rhs = taylor_shift(P, cctx.exp(x, cfg.prec))
         rep.record(series_agreement_valuation(lhs, rhs), cfg.prec,
                    {"trial": i, "part": "flow"})
@@ -455,7 +461,7 @@ def claim_example58(cfg: Config) -> DualityReport:
     cctx = cfg.carlitz_ctx()
     ctx = cctx.field
     rep = DualityReport("example58", {"prec": target, "window": cfg.window})
-    e1 = cctx.exp_at_one(target + 32)
+    e1 = cctx.exp_at_one(target + 32)  # at + 0 agreement falls to 54
     T = TwistedMap(cctx, target)
     t = PolyA.t(ctx)
     one = PolyA.one(ctx)
@@ -484,6 +490,7 @@ def claim_iso_roundtrip(cfg: Config) -> DualityReport:
     rep = DualityReport("iso-roundtrip", {"prec": cfg.prec, "k_max": 8})
     q = ctx.q
 
+    # the pad: at 0 the F_2 round trip fails (60, 62)
     def random_generator(max_len=3):
         length = rng.randint(1, max_len)
         pc = [LaurentF(ctx, 0, [rng.randrange(1, q)] +
@@ -510,7 +517,7 @@ def claim_iso_roundtrip(cfg: Config) -> DualityReport:
 
     # (ii) dual of dual restores the moments
     S = AdditiveMap(cctx, cfg.prec)
-    T = TwistedMap(cctx, cfg.prec, inv_prec_pad=64)
+    T = TwistedMap(cctx, cfg.prec, inv_prec_pad=64)  # at 0: fails (60)
     for i in range(n):
         use_twisted = i % 2 == 1
         base = T if use_twisted else S

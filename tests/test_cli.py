@@ -11,7 +11,7 @@ from umbral_flow.cli import main, make_map, parse_element, parse_poly
 from umbral_flow.config import Config
 from umbral_flow.errors import ParseError
 from umbral_flow.fq import FqElem, PolyA, field
-from umbral_flow.laurent import LaurentF
+from umbral_flow.laurent import INF, LaurentF
 
 
 def test_parse_poly_basic(F2):
@@ -165,6 +165,84 @@ def test_cli_flow_apply_dual_map(capsys, tmp_path, cc2):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["trunc"] == 8
+
+
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("spec,with_H", [
+    ("dual:geometric:identity", True),
+    ("dual:geometric:poly:t^2+t:{H}", False),
+])
+def test_make_map_dual_of_geometric(capsys, tmp_path, cc2, spec, with_H):
+    # with --H everything after dual: is the inner spec; without it the
+    # file is the text after the last ':'
+    from umbral_flow.duality import AdditiveIso, DualMap
+    from umbral_flow.series import AdditiveSeries, TruncSeries
+    from umbral_flow.umbral import GeometricMap, apply_flow
+
+    ctx = cc2.field
+    cfg = Config(trials=2, trunc=8)
+    one = LaurentF.one(ctx)
+    H = AdditiveSeries(ctx, [one, LaurentF(ctx, 1, [1], INF)])
+    hpath = _write_json(tmp_path / "h.json", H.to_json())
+    spec = spec.format(H=hpath)
+    got = make_map(spec, cc2, cfg, h_file=hpath if with_H else None)
+    fn_name, fn = (("identity", lambda x: x) if with_H else
+                   ("poly", lambda x: x * x + x))
+    want = DualMap(GeometricMap(cc2, cfg.prec, fn, fn_name), AdditiveIso(H),
+                   prec=cfg.prec)
+    x = LaurentF(ctx, 1, [1, 1, 0, 1], 40)
+    assert got.name == want.name == f"dual(geometric:{fn_name})"
+    for k in range(6):
+        assert got.moment(x, k) == want.moment(x, k)
+    argv = ["--trunc", "8", "flow", "apply", "--map", spec,
+            "--x", "@" + _write_json(tmp_path / "x.json", x.to_json())]
+    assert main(argv + (["--H", hpath] if with_H else [])) == 0
+    P = TruncSeries.monomial(ctx, 1, 8)
+    assert json.loads(capsys.readouterr().out) == \
+        apply_flow(want, x, P).to_json()
+
+
+@pytest.mark.parametrize("H_pc,x", [
+    ([(0, None), (-1, None)], "0"),  # H = T + t T^2: not integral
+    ([(0, None), (0, None)], "@"),   # twisted at x = 1/t
+])
+def test_cli_dual_without_a_rule_exits_2(capsys, tmp_path, H_pc, x):
+    # a dual with no exact admissibility rule at x is refused: one error
+    # line naming the map, no traceback
+    hpath = _write_json(tmp_path / "h.json", {"pcoeffs": [
+        {"v": v, "coeffs": [[1]], "prec": p} for v, p in H_pc]})
+    if x == "@":
+        x += _write_json(tmp_path / "x.json",
+                         {"v": 1, "coeffs": [[1]], "prec": 32})
+    inner = "twisted" if x.startswith("@") else "additive"
+    assert main(["flow", "apply", "--map", f"dual:{inner}", "--H", hpath,
+                 "--x", x]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: no admissibility rule for dual({inner}) at " \
+        "this x\n"
+
+
+@pytest.mark.parametrize("trunc,rc", [(8, 0), (-1, 2)])
+def test_cli_series_trunc_is_the_declared_one(capsys, tmp_path, trunc, rc):
+    # coefficients past the list are exact zeros up to the declared trunc;
+    # a negative trunc is invalid input
+    series = {"trunc": trunc, "coeffs": [{"v": 0, "coeffs": [[1]],
+                                          "prec": None}] * 3}
+    if trunc > 0:
+        series["coeffs"] = series["coeffs"][:1]
+    path = _write_json(tmp_path / "p.json", series)
+    assert main(["flow", "apply", "--map", "twisted", "--x", "t",
+                 "--series", path]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        got = json.loads(out)
+        assert got["trunc"] == 8 and len(got["coeffs"]) == 8
 
 
 def test_enum_cap_env(monkeypatch):

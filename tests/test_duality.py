@@ -278,9 +278,8 @@ def test_windowed_flow_coefficient_keeps_agreement(cc_name, request):
         big = max(iso.degree_bound(basis - 1) + 1, M)
         for dual in (base, PerturbedMap(base, 3, LaurentF.one(ctx))):
             for j in range(basis):
-                lhs = iso.apply(apply_flow(
-                    inner, x, TruncSeries.monomial(ctx, j, M),
-                    require_admissible=False))
+                lhs = iso.apply(TruncSeries(ctx, flow_coefficients(
+                    inner, x, TruncSeries.monomial(ctx, j, M), (INF,) * M)))
                 Q = iso.gen_power(j, big)
                 for h in range(M):
                     full = _full_flow_coefficient(dual, x, Q, h)
@@ -565,10 +564,14 @@ def test_dual_rule_needs_integral_generator_and_tail_bound(cc2):
     integral = AdditiveIso(AdditiveSeries(ctx, [one, one]))
     verdict = DualMap(S, integral, prec=N).admissibility_rule(x)
     assert verdict.apparently_admissible
-    # a coefficient t makes H^(-1) non-integral: no rule, the scan decides
+    # a coefficient t makes H^(-1) non-integral: no rule, and the dual is
+    # refused
     t = LaurentF.from_poly(PolyA.t(ctx))
     wild = AdditiveIso(AdditiveSeries(ctx, [one, t]))
     assert DualMap(S, wild, prec=N).admissibility_rule(x) is None
+    with pytest.raises(PreconditionFailedError, match=r"dual\(additive\)"):
+        apply_flow(DualMap(S, wild, prec=N), x,
+                   TruncSeries.monomial(ctx, 1, M))
     # an inner map without a tail bound: no rule either
     bumped = PerturbedMap(S, 2, one)
     assert bumped.moment_bound(x, 10) is None
@@ -577,49 +580,68 @@ def test_dual_rule_needs_integral_generator_and_tail_bound(cc2):
     assert DualMap(S, integral, prec=N).admissibility_rule(t) is None
 
 
-class _ScannedDual(DualMap):
-    def admissibility_rule(self, x):
-        return None
+def test_dual_of_dual_has_an_exact_rule(cc2):
+    # a dual under an integral exact generator states the inner map's tail
+    # bound, so a dual of it has an exact rule and a cap from that bound
+    ctx = cc2.field
+    one = LaurentF.one(ctx)
+    s = LaurentF(ctx, 1, [1], INF)
+    iso_a = AdditiveIso(AdditiveSeries(ctx, [one, one]))
+    iso_b = AdditiveIso(AdditiveSeries(ctx, [one, s]))
+    S = AdditiveMap(cc2, N)
+    once = DualMap(S, iso_a, prec=N)
+    twice = DualMap(once, iso_b, prec=N)
+    x = _unit_x(ctx, random.Random(36))
+    assert once.moment_bound(x, 7) == S.moment_bound(x, 7) == 7
+    verdict = twice.admissibility_rule(x)
+    assert verdict is not None and verdict.apparently_admissible
+    assert verdict.apparently_admissible == _decay_scan(twice, x)
+    length, cap = twice._sum_at(x)
+    assert cap == min(twice.eval_len, once.moment_bound(x, length))
+    # a non-integral generator states no bound, so its dual has no rule
+    t = LaurentF.from_poly(PolyA.t(ctx))
+    wild = DualMap(S, AdditiveIso(AdditiveSeries(ctx, [one, t])), prec=N)
+    assert wild.moment_bound(x, 7) is None
+    assert DualMap(wild, iso_b, prec=N).admissibility_rule(x) is None
 
 
-class _ScannedBump(PerturbedMap):
-    def admissibility_rule(self, x):
-        return None
-
-
-def _forced_scan(umap):
-    """A twin of a dual or bumped dual map that has no exact rule."""
-    if isinstance(umap, PerturbedMap):
-        return _ScannedBump(_forced_scan(umap.base), umap.k_star, umap.delta)
-    return _ScannedDual(umap.inner, umap.iso, umap.prec, umap.eval_len)
+def _decay_scan(umap, x):
+    """The window scan, kept as the oracle for the exact rules: x passes
+    once 3 consecutive moments F_k(x), k <= max(32, prec + 8), reach the
+    map's precision."""
+    quiet = 0
+    for k in range(1, max(32, umap.prec + 8) + 1):
+        quiet = quiet + 1 if umap.moment(x, k).val_lower_bound() >= \
+            umap.prec else 0
+        if quiet >= 3:
+            return True
+    return False
 
 
 def test_dual_rule_matches_forced_scan(monkeypatch):
-    # at every sample point of the F_2 duality, geometric and dual-binomial
-    # claims, the exact rule of a dual (or bumped dual) map gives the
-    # verdict that the window scan gives
-    from umbral_flow import duality
+    # at every sample point of the F_2 duality, geometric, dual-binomial and
+    # example57 claims, the exact rule of a dual (or bumped dual) map gives
+    # the verdict that the window scan gives
+    from umbral_flow import duality, umbral
     from umbral_flow.config import Config
     from umbral_flow.verify import run_claim
 
-    rule_of = duality.admissible_heuristic
+    rule_of = umbral.admissible_heuristic
     seen = {}
 
     def both(umap, x):
         got = rule_of(umap, x)
         if isinstance(umap, (DualMap, PerturbedMap)):
-            assert got.rule != "windowed decay scan"
-            scan = rule_of(_forced_scan(umap), x)
-            assert scan.rule == "windowed decay scan"
-            assert got.apparently_admissible == scan.apparently_admissible
+            assert got.apparently_admissible == _decay_scan(umap, x)
             seen[umap.name] = seen.get(umap.name, 0) + 1
         return got
 
-    monkeypatch.setattr(duality, "admissible_heuristic", both)
+    for module in (duality, umbral):
+        monkeypatch.setattr(module, "admissible_heuristic", both)
     cfg = Config(p=2, prec=64, trunc=16, basis=12, trials=20, seed=0)
-    for claim in ("duality", "geometric", "dual-binomial"):
+    for claim in ("duality", "geometric", "dual-binomial", "example57"):
         assert run_claim(claim, cfg).passed
-    assert seen == {"dual(additive)": 10, "dual(twisted)": 22,
+    assert seen == {"dual(additive)": 12, "dual(twisted)": 22,
                     "dual(additive)+bump@5": 1, "dual(twisted)+bump@6": 1}
 
 
@@ -803,6 +825,70 @@ def test_moment_floor_bounds_computed_moments(fld, monkeypatch):
             assert dual.moment(x, k).val_lower_bound() >= floor, k
             assert _ref_dual_moment(dual, x, k).val_lower_bound() >= floor, k
     assert floored
+
+
+@pytest.mark.parametrize("fld", [{"p": 2}, {"p": 3},
+                                 {"p": 2, "d": 2, "modulus": (1, 1, 1)}],
+                         ids=["F2", "F3", "F4"])
+def test_moment_bound_bounds_dual_of_dual_moments(fld, monkeypatch):
+    # at the sample points of the iso-roundtrip claim, every computed
+    # moment of a dual of a dual up to the sum's length + 2 is a zero at
+    # its precision or has valuation at or past the map's tail bound at
+    # each n <= k where it states one
+    from umbral_flow.config import Config
+    from umbral_flow.verify import run_claim
+
+    seen = {}
+    sum_at = DualMap._sum_at
+
+    def spy(self, x):
+        seen.setdefault((id(self), x), (self, x))
+        return sum_at(self, x)
+
+    monkeypatch.setattr(DualMap, "_sum_at", spy)
+    run_claim("iso-roundtrip",
+              Config(**fld, prec=32, trunc=8, basis=6, trials=20, seed=0))
+    monkeypatch.setattr(DualMap, "_sum_at", sum_at)
+    bounded = 0
+    for dual, x in seen.values():
+        if not isinstance(dual.inner, DualMap):
+            continue
+        for k in range(dual._sum_at(x)[0] + 3):
+            got = dual.moment(x, k)
+            for n in range(k + 1):
+                bound = dual.moment_bound(x, n)
+                if bound is None:  # the twisted map below its support
+                    continue
+                bounded += 1
+                assert got.val_lower_bound() >= min(bound, got.prec), (k, n)
+    assert bounded
+
+
+def test_integral_generator_has_integral_computed_inverse():
+    # the floor of a dual map reads the integrality of H alone: for an
+    # exact H with every coefficient at vlb >= 0, every computed
+    # coefficient of H^(-1), and of its powers, keeps vlb >= 0
+    from umbral_flow.carlitz import CarlitzCtx
+    from umbral_flow.fq import field
+
+    rng = random.Random(37)
+    for p, d, modulus in ((2, 1, None), (3, 1, None), (2, 2, (1, 1, 1))):
+        ctx = field(p, d, modulus)
+        for _ in range(6):
+            pc = [LaurentF(ctx, 0, [rng.randrange(1, ctx.q)] +
+                           [rng.randrange(ctx.q) for _ in range(5)],
+                           rng.choice([INF, 12]))]
+            for _ in range(rng.randint(1, 3)):
+                pc.append(LaurentF(ctx, rng.randint(0, 3),
+                                   [rng.randrange(ctx.q) for _ in range(6)],
+                                   rng.choice([INF, rng.randint(0, 12)])))
+            iso = AdditiveIso(AdditiveSeries(ctx, pc, exact=True))
+            assert DualMap(AdditiveMap(CarlitzCtx(ctx), N), iso)._integral
+            assert all(c.val_lower_bound() >= 0
+                       for c in iso.inverse(6).pcoeffs)
+            for k in (1, 2, 5):
+                assert all(c.val_lower_bound() >= 0
+                           for c in iso.hinv_power(k, 40).coeffs)
 
 
 def test_duality_diagram_counts_at_benchmark_shape(monkeypatch):

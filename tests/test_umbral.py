@@ -25,6 +25,7 @@ from umbral_flow.umbral import (
     admissible_heuristic,
     apply_flow,
     flow_coefficient,
+    flow_coefficients,
     umbral_eval,
 )
 
@@ -169,22 +170,26 @@ def test_admissibility_exact_rules(cc2):
     assert admissible_heuristic(T, t).apparently_admissible
 
 
-def test_admissibility_windowed_scan(cc2):
-    # force the generic scan with a map that has no exact rule; a map at
-    # prec 24 scans k <= 32 for 3 moments in a row at valuation >= 24
-    class Decaying(AdditiveMap):
+def test_admissibility_without_a_rule_refuses(cc2):
+    # a map with no exact rule is refused, whether its moments decay at x or
+    # not, and no moment is computed to guess at a verdict
+    class Ruleless(AdditiveMap):
         def admissibility_rule(self, x):
             return None
 
-    D = Decaying(cc2, 24)
+        def moment(self, x, k):
+            raise AssertionError("no moment is asked for")
+
+    D = Ruleless(cc2, 24)
     rng = random.Random(7)
-    x = _unit_x(cc2.field, rng, prec=32)
-    verdict = admissible_heuristic(D, x)
-    assert verdict.apparently_admissible
     t = LaurentF.from_poly(PolyA.t(cc2.field), prec=64)
-    verdict = admissible_heuristic(D, t)
-    assert not verdict.apparently_admissible
-    assert verdict.witness_k == 32
+    P = TruncSeries.monomial(cc2.field, 1, M)
+    for x in (_unit_x(cc2.field, rng, prec=32), t):
+        with pytest.raises(PreconditionFailedError,
+                           match="no admissibility rule for additive"):
+            admissible_heuristic(D, x)
+        with pytest.raises(PreconditionFailedError):
+            apply_flow(D, x, P)
 
 
 def test_flow_coefficient_examples(cc2):
@@ -235,8 +240,8 @@ def test_flow_requires_admissibility(cc2):
     P = TruncSeries.monomial(cc2.field, 1, M)
     with pytest.raises(PreconditionFailedError):
         apply_flow(S, t, P)
-    out = apply_flow(S, t, P, require_admissible=False)
-    assert agreement_valuation(out.coeffs[0], t) == INF
+    out = flow_coefficients(S, t, P, (INF,) * P.trunc)
+    assert agreement_valuation(out[0], t) == INF
 
 
 def test_flow_double_sum_brute_force(cc2):
@@ -400,6 +405,12 @@ def _states(P):
     return [(c.v, c.codes, c.prec) for c in P.coeffs]
 
 
+def _flow(umap, x, P):
+    """The flow of P with no admissibility check: maps and points outside
+    the admissible domain still have their finite sums."""
+    return TruncSeries(P.ctx, flow_coefficients(umap, x, P, (INF,) * P.trunc))
+
+
 @st.composite
 def _coefficient(draw, ctx, width=12):
     kind = draw(st.sampled_from(["exact zero", "zero at prec", "exact",
@@ -450,7 +461,7 @@ def _flow_case(draw):
 @settings(max_examples=200, deadline=None)
 def test_packed_flow_matches_loop(case):
     umap, x, P = case
-    got = apply_flow(umap, x, P, require_admissible=False)
+    got = _flow(umap, x, P)
     assert _states(got) == _states(_loop_flow(umap, x, P))
 
 
@@ -477,7 +488,6 @@ def test_flow_asks_the_reference_moments():
             want = _loop_flow(spy_map(AdditiveMap(cctx, N)), x, P)
             ks = set(asked)
             del asked[:]
-            got = apply_flow(spy_map(AdditiveMap(cctx, N)), x, P,
-                             require_admissible=False)
+            got = _flow(spy_map(AdditiveMap(cctx, N)), x, P)
             assert _states(got) == _states(want)
             assert set(asked) == ks
