@@ -4,7 +4,8 @@ e_k(x), and the truncated Carlitz exponential.
 D_k and e_k are computed by direct enumeration products over all monic
 polynomials of degree k (resp. all polynomials of degree < k).  That is the
 defining formula; the classical recursions are used only as oracles in the
-test suite.  The index set {eps : deg(eps) < k} contains the zero polynomial
+test suite.  Both are multiplied as one balanced product tree, e_k(x) at
+any x.  The index set {eps : deg(eps) < k} contains the zero polynomial
 for every k >= 1 and is {0} for k = 0 (deg(0) = NEG_INF), which forces
 e_0(x) = x.
 
@@ -27,6 +28,17 @@ DEFAULT_WINDOW = 3
 K_MAX = 64  # the last index k of a Carlitz-exponential sum
 
 
+def _product_tree(level):
+    """The product of the factors in ``level``, neighbours multiplied
+    pairwise, level by level, until one is left: the work sits in a few
+    products of equal-sized halves, each one convolution, instead of one
+    product of the running product by a small factor per factor."""
+    while len(level) > 1:
+        pairs = [a * b for a, b in zip(level[::2], level[1::2])]
+        level = pairs + level[len(pairs) * 2:]
+    return level[0]
+
+
 class CarlitzCtx:
     """Field context plus caches for D_k and their Laurent inverses."""
 
@@ -39,15 +51,8 @@ class CarlitzCtx:
         self._dk_inv = {}
 
     def dk(self, k: int) -> PolyA:
-        """Product of all monic polynomials of degree k; monic of degree k*q^k.
-
-        The enumeration is multiplied as a balanced product tree: neighbours
-        pairwise, level by level, until one polynomial is left.  Same
-        factors, exact arithmetic, so the same D_k as left to right; but the
-        work sits in a few products of equal-sized halves, each one packed
-        big-int multiply, instead of q^k products of the running product by
-        a degree-k factor.
-        """
+        """Product of all monic polynomials of degree k; monic of degree k*q^k,
+        multiplied as a balanced product tree (``_product_tree``)."""
         # check k once: the per-degree cap check in enumerate_polys would
         # only fire after every smaller degree's product was built
         if k < 0:
@@ -56,12 +61,8 @@ class CarlitzCtx:
             raise EnumerationCapExceededError(
                 f"q^(k+1) = {self.field.q ** (k + 1)} exceeds cap {self.cap}")
         while len(self._dk) <= k:
-            level = enumerate_polys(self.field, len(self._dk), True,
-                                    cap=self.cap)
-            while len(level) > 1:
-                pairs = [a * b for a, b in zip(level[::2], level[1::2])]
-                level = pairs + level[len(pairs) * 2:]
-            self._dk.append(level[0])
+            self._dk.append(_product_tree(enumerate_polys(
+                self.field, len(self._dk), True, cap=self.cap)))
         return self._dk[k]
 
     def dk_inv(self, k: int, prec: int) -> LaurentF:
@@ -81,18 +82,17 @@ class CarlitzCtx:
 
     def ek(self, k: int, x: LaurentF) -> LaurentF:
         """e_k(x) = prod over deg(eps) < k of (x + eps); e_0(x) = x: the
-        exact zero, from no factor, at a polynomial x of degree < k."""
+        exact zero, from no factor, at a polynomial x of degree < k.
+        Multiplied as a balanced product tree, as ``dk``: past that zero no
+        factor is an exact zero, and a product of the others has the same
+        (v, codes, prec) in any order."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         if x.poly_degree() < k:
             return LaurentF.zero(self.field)
-        prod = None
-        for eps in enumerate_polys(self.field, k, False, cap=self.cap):
-            factor = x + LaurentF.from_poly(eps)
-            prod = factor if prod is None else prod * factor
-            if prod.is_exact_zero():
-                return prod
-        return prod
+        return _product_tree([x + LaurentF.from_poly(eps) for eps in
+                              enumerate_polys(self.field, k, False,
+                                              cap=self.cap)])
 
     def exp_sum(self, x: LaurentF, prec: int) -> LaurentF:
         """sum_k x^(q^k) / D_k for k <= K_MAX, stopped by the window rule of

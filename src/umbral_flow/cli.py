@@ -149,24 +149,23 @@ def _horner(poly: PolyA):
 def make_map(spec: str, cctx: CarlitzCtx, cfg: Config, h_file=None):
     """The map a spec names.  A dual's generator file is ``h_file``, and
     then everything after ``dual:`` is the inner spec; without it the file
-    is the text after the last ':'."""
+    is the text after the last ':'.  A spec with text after a name that
+    takes none is unknown."""
+    plain = {"additive": AdditiveMap, "naive": NaiveMap,
+             "twisted": TwistedMap}
+    if spec in plain:
+        return plain[spec](cctx, cfg.prec)
     kind, _, rest = spec.partition(":")
-    if kind == "additive":
-        return AdditiveMap(cctx, cfg.prec)
-    if kind == "naive":
-        return NaiveMap(cctx, cfg.prec)
-    if kind == "twisted":
-        return TwistedMap(cctx, cfg.prec)
     if kind == "geometric":
         fn_kind, _, fn_rest = rest.partition(":")
-        if fn_kind == "identity":
+        if rest == "identity":
             fn = lambda x: x
-        elif fn_kind == "carlitz-exp":
+        elif rest == "carlitz-exp":
             fn = lambda x: cctx.exp(x, cfg.prec)
         elif fn_kind == "poly":
             fn = _horner(parse_poly(cctx.field, fn_rest))
         else:
-            raise ParseError(f"unknown scalar function {fn_kind!r}")
+            raise ParseError(f"unknown scalar function {rest!r}")
         return GeometricMap(cctx, cfg.prec, fn, fn_kind)
     if kind == "dual":
         if h_file:

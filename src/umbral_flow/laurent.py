@@ -23,8 +23,9 @@ Three states:
 
 The constructor normalizes any code sequence to that form with
 ``lstrip``/``rstrip`` of zero bytes, and the ring operations and sums of
-products (``product_sum``) hand whole code vectors to the ``FieldCtx``
-kernels, C-level bytes and big-int operations wherever the field allows.
+products (``product_sum``, and ``block_sums`` for many sums at once) hand
+whole code vectors to the ``FieldCtx`` kernels, C-level bytes and big-int
+operations wherever the field allows.
 """
 
 from __future__ import annotations
@@ -300,6 +301,21 @@ def product_sum(ctx, pairs, window=INF):
             [(xs, ys, v - lo) for xs, ys, v in triples]), prec)
     xs, ys, v = triples[0] if triples else (b"", b"", 0)
     return LaurentF(ctx, v, ctx.convolve(xs, ys), prec)
+
+
+def block_sums(ctx, kept, precs):
+    """Sum i < len(precs) of the products xs * ys at valuation v over the
+    (i, xs, v, ys) of ``kept``, cut once at precs[i], the least precision
+    of its pairs: one ``FieldCtx.convolve_sum``, each product at offset
+    i * W + v - v0 (v0 the least v, W the widest span from v0 of any
+    product), so that no two blocks meet."""
+    v0 = min((v for _, _, v, _ in kept), default=0)
+    width = max((v + len(xs) + len(ys) - 1 for _, xs, v, ys in kept),
+                default=v0) - v0
+    acc = ctx.convolve_sum([(xs, ys, i * width + v - v0)
+                            for i, xs, v, ys in kept])
+    return [LaurentF(ctx, v0, acc[i * width:(i + 1) * width], pk)
+            for i, pk in enumerate(precs)]
 
 
 def _series_inv(ctx, codes, length):

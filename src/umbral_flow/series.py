@@ -16,8 +16,10 @@ loop, one ``laurent.product_sum`` per output coefficient.  Dense means that
 the packed slot count n*W is at most ``_PACK_SLOTS_PER_PAIR`` times the
 number of term pairs: the power-rule products of the flow claims are
 dense, the trunc-80 power tables of the duality layer sparse.
-``taylor_shift`` reads no moment, so it stays the flows' independent
-oracle: the two share only the field kernels.
+``taylor_shift`` computes every output coefficient in one accumulated
+convolution, one block per coefficient, as a flow sum does; it reads no
+moment, so it stays the flows' independent oracle: the two share only the
+field kernels and that block sum (``laurent.block_sums``).
 
 ``AdditiveSeries`` is a separate carrier for series with terms only at
 p-power exponents, H(T) = sum_i h_i T^(p^i).  Keeping it structural makes
@@ -41,6 +43,7 @@ from .laurent import (
     INF,
     LaurentF,
     agreement_valuation,
+    block_sums,
     json_fields,
     product_sum,
 )
@@ -343,27 +346,35 @@ def taylor_shift(P: TruncSeries, c: LaurentF) -> TruncSeries:
     sum_k C(j+k, k) a_(j+k) c^k at T^j.
 
     Independent of the flow machinery on purpose: this is the oracle that
-    flow results are compared against.
+    flow results are compared against, and it reads no moment.  Every
+    output coefficient is one block of one accumulated convolution
+    (``block_sums``), cut as one ``product_sum`` per coefficient would be.
     """
     ctx = P.ctx
     p = ctx.p
     M = P.trunc
-    cpows = [None, c]  # c^k by the chain c^(k-1) * c; None is c^0 = 1
+    cpows = [LaurentF.one(ctx), c]  # c^k by the chain c^(k-1) * c
     while len(cpows) < M:
         cpows.append(cpows[-1] * c)
-    out = []
-    for j in range(M):
-        pairs = []
-        for k in range(M - j):
-            a = P.coeffs[j + k]
-            if a.is_exact_zero():
-                continue
-            b = binom_mod_p(j + k, k, p)
+    precs, kept = [INF] * M, []
+    for i, a in P.terms:
+        va = a.val_lower_bound()
+        for k in range(i + 1):
+            b = binom_mod_p(i, k, p)
             if b == 0:
                 continue
-            pairs.append((a if b == 1 else a.scale(b), cpows[k]))
-        out.append(product_sum(ctx, pairs))
-    return TruncSeries(ctx, out)
+            ck, j = cpows[k], i - k
+            pk = min(a.prec + ck.val_lower_bound(), ck.prec + va)
+            if pk < precs[j]:
+                precs[j] = pk
+            # block j is cut at or below precs[j]: no digit past it is read
+            v, ys = a.v + ck.v, ck.codes
+            if a.codes and ys and v < precs[j]:
+                if precs[j] - v < len(ys):
+                    ys = ys[:precs[j] - v]
+                kept.append((j, a.codes if b == 1 else ctx.scale(b, a.codes),
+                             v, ys))
+    return TruncSeries(ctx, block_sums(ctx, kept, precs))
 
 
 def series_compose(P: TruncSeries, Q: TruncSeries) -> TruncSeries:

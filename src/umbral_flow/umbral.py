@@ -54,7 +54,7 @@ from functools import lru_cache
 
 from .carlitz import CarlitzCtx
 from .errors import PreconditionFailedError
-from .laurent import INF, LaurentF
+from .laurent import INF, LaurentF, block_sums
 from .series import TruncSeries, binom_mod_p
 
 
@@ -171,14 +171,17 @@ class GeometricMap(_PowerMomentMap):
 
 class TwistedMap(UmbralMap):
     """T_n(x) = prod over the q-adic digits n = sum eps_k q^k of
-    (e_k(x)/D_k)^eps_k; admissible on all of F."""
+    (e_k(x)/D_k)^eps_k; admissible on all of F.  Each moment is one
+    product T_(n - q^k) * (e_k(x)/D_k) of a cached one, k the place of the
+    lowest non-zero digit of n: a product's (v, codes, prec) does not
+    depend on the order of its factors."""
 
     name = "twisted"
 
     def __init__(self, cctx, prec, inv_prec_pad: int = 32):
         super().__init__(cctx, prec)
         self._basis = {}    # x -> list of e_k(x)/D_k
-        self._moments = {}  # x -> {n: T_n(x)}
+        self._moments = {}  # x -> {n: T_n(x)}, T_0 = 1 included
         # headroom for negative-valuation factors: at 0 only example58 moves
         self._inv_prec = prec + inv_prec_pad
 
@@ -195,21 +198,21 @@ class TwistedMap(UmbralMap):
         return vals[k]
 
     def moment(self, x, n):
-        if n == 0:
-            return LaurentF.one(self.ctx)
-        cache = self._moments.setdefault(x, {})
-        got = cache.get(n)
-        if got is not None:
-            return got
-        q = self.ctx.q
-        val = LaurentF.one(self.ctx)
-        m, k = n, 0
-        while m:
-            m, digit = divmod(m, q)
-            if digit:
-                val = val * self.basis_value(x, k) ** digit
-            k += 1
-        cache[n] = val
+        cache = self._moments.get(x)
+        if cache is None:
+            cache = self._moments[x] = {0: LaurentF.one(self.ctx)}
+        # the chain n, n - q^k, ... down to a cached moment, each link with
+        # the place k of its lowest non-zero digit; then one product a link
+        q, chain, m = self.ctx.q, [], n
+        while m not in cache:
+            k, e = 0, 1
+            while m // e % q == 0:
+                k, e = k + 1, e * q
+            chain.append((m, k))
+            m -= e
+        val = cache[m]
+        for m, k in reversed(chain):
+            val = cache[m] = val * self.basis_value(x, k)
         return val
 
     def admissibility_rule(self, x):
@@ -295,12 +298,9 @@ def _moment_sums(umap, x, P, windows, lo=0):
     # moment the map would compute.  With an INF window only moments that
     # are exact zeros are skipped, whose products would add nothing.
     #
-    # Every sum is one accumulated ``FieldCtx.convolve_sum``: the product
-    # of a kept pair lands in block h - lo, at offset
-    # (h - lo) * W + v_a + v_F - v0, where v0 is the least v_a + v_F and W
-    # the widest span from v0 of any product, so that no two blocks meet.
-    # Each product's digits are exact, so block h is cut once, at the least
-    # of its window and its pairs' precisions
+    # Every sum is one accumulated convolution (``block_sums``): the
+    # product of a kept pair lands in block h - lo, which is cut once, at
+    # the least of its window and its pairs' precisions
     # min(prec_a + vlb_F, prec_F + vlb_a); F_0 = 1 is exact.
     ctx = P.ctx
     hi = lo + len(windows)
@@ -337,14 +337,7 @@ def _moment_sums(umap, x, P, windows, lo=0):
             if a.codes and fs:
                 kept.append((i, a.codes if b == 1 else ctx.scale(b, a.codes),
                              v, fs))
-    if not kept:
-        return [LaurentF(ctx, 0, b"", pk) for pk in precs]
-    v0 = min(v for _, _, v, _ in kept)
-    width = max(v + len(xs) + len(fs) - 1 for _, xs, v, fs in kept) - v0
-    acc = ctx.convolve_sum([(xs, fs, i * width + v - v0)
-                            for i, xs, v, fs in kept])
-    return [LaurentF(ctx, v0, acc[i * width:(i + 1) * width], pk)
-            for i, pk in enumerate(precs)]
+    return block_sums(ctx, kept, precs)
 
 
 def apply_flow(umap: UmbralMap, x: LaurentF, P: TruncSeries) -> TruncSeries:

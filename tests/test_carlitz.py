@@ -61,6 +61,47 @@ def test_dk_tree_matches_left_to_right(cc_name, kmax, request):
         assert cc.dk(k) == expect, k
 
 
+def _ek_left_to_right(cc, k, x):
+    # the reference: the factors (x + eps) in enumeration order, stopped at
+    # the first exact zero
+    prod = None
+    for eps in enumerate_polys(cc.field, k, False):
+        factor = x + LaurentF.from_poly(eps)
+        prod = factor if prod is None else prod * factor
+        if prod.is_exact_zero():
+            break
+    return prod
+
+
+@pytest.mark.parametrize("p,d,modulus,kmax", [
+    (2, 1, None, 4), (3, 1, None, 3), (2, 2, (1, 1, 1), 3),
+    (2, 3, (1, 1, 0, 1), 2), (3, 2, (1, 0, 1), 2),
+], ids=["F2", "F3", "F4", "F8", "F9"])
+def test_ek_tree_matches_left_to_right(p, d, modulus, kmax):
+    # the product tree gives the left-to-right product's (v, codes, prec)
+    # at exact polynomials of degree below and past k, at finite-precision
+    # points of either sign of valuation, and at t + O(1), whose factor
+    # eps = -t is a zero at precision
+    ctx = field(p, d, modulus)
+    cc = CarlitzCtx(ctx)
+    rng = random.Random(p * 100 + d)
+
+    def codes(n):
+        return [rng.randrange(1, ctx.q)] + [rng.randrange(ctx.q)
+                                            for _ in range(n - 1)]
+
+    points = [LaurentF.from_poly(PolyA(ctx, codes(n)[::-1]))
+              for n in (1, 2, 3, 4)]
+    points += [LaurentF(ctx, 1, codes(30), 31),
+               LaurentF(ctx, -2, codes(12), 25),
+               LaurentF(ctx, -1, [1], 0)]
+    for x in points:
+        for k in range(kmax + 1):
+            got, want = cc.ek(k, x), _ek_left_to_right(cc, k, x)
+            assert (got.v, got.codes, got.prec) == \
+                (want.v, want.codes, want.prec), (x, k)
+
+
 def test_ek_base_cases(cc2):
     x = LaurentF.from_poly(PolyA.t(cc2.field) ** 3)
     assert (cc2.ek(0, x) - x).is_exact_zero()

@@ -12,7 +12,7 @@ from umbral_flow.errors import (
 )
 from umbral_flow import series
 from umbral_flow.fq import FieldCtx, PolyA, field
-from umbral_flow.laurent import INF, LaurentF
+from umbral_flow.laurent import INF, LaurentF, product_sum
 from umbral_flow.series import (
     AdditiveSeries,
     TruncSeries,
@@ -100,6 +100,53 @@ def test_taylor_shift_trivial_cases(F2):
     out = taylor_shift(T, c)
     assert (out.coeffs[0] - c).is_exact_zero()
     assert (out.coeffs[1] - LaurentF.one(F2)).is_exact_zero()
+
+
+def _taylor_per_coefficient(P, c):
+    # the reference: one product_sum per output coefficient j over the
+    # pairs (C(j+k, k) a_(j+k), c^k), c^0 = 1 given as None
+    ctx, M = P.ctx, P.trunc
+    cpows = [None, c]
+    while len(cpows) < M:
+        cpows.append(cpows[-1] * c)
+    out = []
+    for j in range(M):
+        pairs = []
+        for k in range(M - j):
+            a = P.coeffs[j + k]
+            b = binom_mod_p(j + k, k, ctx.p)
+            if b and not a.is_exact_zero():
+                pairs.append((a if b == 1 else a.scale(b), cpows[k]))
+        out.append(product_sum(ctx, pairs))
+    return out
+
+
+@pytest.mark.parametrize("p,d,modulus", [
+    (2, 1, None), (3, 1, None), (2, 2, (1, 1, 1)), (2, 3, (1, 1, 0, 1)),
+    (3, 2, (1, 0, 1)), (5, 1, None),
+], ids=["F2", "F3", "F4", "F8", "F9", "F5"])
+def test_taylor_shift_matches_per_coefficient_sums(p, d, modulus):
+    # one accumulated convolution gives every coefficient the (v, codes,
+    # prec) of one product_sum per coefficient: series with exact zeros,
+    # zeros at precision and negative valuations, shifted by an exact, a
+    # finite-precision, a zero-at-precision and the exact-zero c
+    ctx = field(p, d, modulus)
+    rng = random.Random(p * 10 + d)
+    cs = [LaurentF(ctx, 1, [1, 0, rng.randrange(1, ctx.q)], INF),
+          LaurentF(ctx, 1, [rng.randrange(1, ctx.q)] +
+                   [rng.randrange(ctx.q) for _ in range(20)], 30),
+          LaurentF.zero_at(ctx, 7), LaurentF.zero(ctx)]
+    for trunc in (1, 2, 5, M, 20):
+        P = _rand_series(ctx, rng, trunc=trunc, v_lo=-3)
+        coeffs = list(P.coeffs)
+        for j in range(0, trunc, 3):
+            coeffs[j] = LaurentF.zero_at(ctx, rng.randint(2, 40))
+        for P in (P, TruncSeries(ctx, coeffs)):
+            for c in cs:
+                got = taylor_shift(P, c).coeffs
+                want = _taylor_per_coefficient(P, c)
+                assert [(z.v, z.codes, z.prec) for z in got] == \
+                    [(z.v, z.codes, z.prec) for z in want], (trunc, c)
 
 
 @pytest.mark.parametrize("ctx_name", ["F2", "F3"])

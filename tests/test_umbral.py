@@ -94,6 +94,63 @@ def test_twisted_moments_vanish_beyond_degree_support(cc2):
     assert not T.moment(x, 3).is_zero_at_prec()
 
 
+def _digit_product(T, x, n):
+    # the reference: T_n(x) from 1, times (e_k(x)/D_k)^eps_k for every
+    # non-zero q-adic digit eps_k of n, lowest place first
+    q, val, k = T.ctx.q, LaurentF.one(T.ctx), 0
+    while n:
+        n, digit = divmod(n, q)
+        if digit:
+            val = val * T.basis_value(x, k) ** digit
+        k += 1
+    return val
+
+
+@pytest.mark.parametrize("p,d,modulus", [
+    (2, 1, None), (3, 1, None), (2, 2, (1, 1, 1)), (2, 3, (1, 1, 0, 1)),
+    (7, 2, (1, 0, 1)),
+], ids=["F2", "F3", "F4", "F8", "F49"])
+def test_twisted_moment_matches_digit_product(p, d, modulus):
+    # each moment is one product from a cached one, and equals the digit
+    # product of the definition in (v, codes, prec), with n up to q^3 asked
+    # for in descending order: at polynomial points, with exact zeros past
+    # the support, and at a unit-ball point, also under a prec so low that
+    # the basis values past e_0(x)/D_0 are zeros at precision.  Over F_49
+    # the n are a sample, and the points stop where D_2 would be built.
+    ctx = field(p, d, modulus)
+    q = ctx.q
+    cc = CarlitzCtx(ctx)
+    rng = random.Random(q)
+
+    def poly(deg):
+        return LaurentF.from_poly(PolyA(ctx, [rng.randrange(ctx.q)
+                                              for _ in range(deg)] + [1]))
+
+    unit = _unit_x(ctx, rng)
+    cases = [(N, poly(1), q ** 3), (N, unit, q ** 2 - 1),
+             (q, unit, q ** 2 - 1)]
+    if q < 49:
+        cases += [(N, poly(2), q ** 3), (N, unit, q ** 3 - 1),
+                  (q, unit, q ** 3 - 1)]
+    for prec, x, top in cases:
+        pad = 32 if prec == N else 0
+        T, R = TwistedMap(cc, prec, pad), TwistedMap(cc, prec, pad)
+        ns = range(top, -1, -1)
+        if top > 1000:
+            ns = sorted({n for n in (q * q, q * q - 1, q, 1, 0) if n < top}
+                        | {top} | set(rng.sample(range(top), 60)),
+                        reverse=True)
+        for n in ns:
+            got, want = T.moment(x, n), _digit_product(R, x, n)
+            assert (got.v, got.codes, got.prec) == \
+                (want.v, want.codes, want.prec), (x, n)
+        if x is not unit:
+            assert T.moment(x, top).is_exact_zero()
+        elif prec == q:
+            b = R.basis_value(x, 1)
+            assert not b.codes and b.prec != INF
+
+
 @pytest.mark.parametrize("cc_name", ["cc2", "cc3", "cc4"])
 def test_twisted_support_is_tight(cc_name, request):
     # T_n(x) = 0 for every n >= q^(deg x + 1) and not at the last n below;
